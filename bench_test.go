@@ -593,6 +593,59 @@ func BenchmarkSparseSensornet(b *testing.B) {
 	})
 }
 
+// specMeshWarmup is the cycle count BenchmarkSpecMesh and the steady-state
+// allocation guard step before measuring: long enough for the torus to
+// fill its buffers and for every FIFO and worklist to reach its working
+// capacity.
+const specMeshWarmup = 500
+
+// loadSpecMesh builds specs/mesh.lss, unchanged, under the given engine
+// and steps it past its warm-up.
+func loadSpecMesh(tb testing.TB, kind core.SchedulerKind) *core.Sim {
+	tb.Helper()
+	src, err := os.ReadFile("specs/mesh.lss")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sim, err := lse.LoadLSS(string(src), lse.WithSeed(1), lse.WithScheduler(kind))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sim.Run(specMeshWarmup); err != nil {
+		tb.Fatal(err)
+	}
+	return sim
+}
+
+// BenchmarkSpecMesh measures steady-state ns/cycle and allocs/cycle on
+// the shipped specs/mesh.lss — the paper's 4x4 torus under statistical
+// traffic, handler-bound, with one cyclic SCC — under each one-worker
+// engine. sparse is the Auto default; the bench-smoke gate keeps it from
+// falling behind levelized on this fabric.
+func BenchmarkSpecMesh(b *testing.B) {
+	for _, eng := range []struct {
+		name string
+		kind core.SchedulerKind
+	}{
+		{"sequential", core.SchedulerSequential},
+		{"levelized", core.SchedulerLevelized},
+		{"sparse", core.SchedulerSparse},
+		{"woven", core.SchedulerWoven},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
+			sim := loadSpecMesh(b, eng.kind)
+			defer sim.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sim.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTypedPipeline isolates payload-boxing cost on a payload-heavy
 // pipeline: a 256-lane source → sink chain moving one uint64 per lane per
 // cycle. The typed variant declares payload="uint64" end to end, so every

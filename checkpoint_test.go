@@ -3,12 +3,14 @@ package liberty_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
 
 	core "liberty/internal/core"
 	"liberty/internal/pcl"
+	"liberty/lse"
 )
 
 // checkpointAssemble returns the deterministic recipe the checkpoint and
@@ -101,14 +103,48 @@ func runStamped(t *testing.T, prog *core.Program, cycles uint64) ([]uint64, stri
 	return h.hashes, st.String()
 }
 
+// ckptNetlist is one netlist the checkpoint oracles run: a compile
+// function per engine and the cycle the snapshot is taken at.
+type ckptNetlist struct {
+	name    string
+	compile func(core.SchedulerKind) (*core.Program, error)
+	snapAt  int
+}
+
+// checkpointNetlists returns the checkpoint oracles' netlists: the pcl
+// recipe with boxed and typed (uint64-lane) payloads, and the shipped
+// specs/mesh.lss — ccl links carrying boxed *ccl.Packet values through a
+// cyclic torus — snapshotted both before its first cycle and mid-run.
+func checkpointNetlists(t *testing.T) []ckptNetlist {
+	t.Helper()
+	mesh, err := os.ReadFile("specs/mesh.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := func(payload string) func(core.SchedulerKind) (*core.Program, error) {
+		return func(kind core.SchedulerKind) (*core.Program, error) {
+			return core.Compile(checkpointAssemble(payload), core.WithSeed(7), core.WithScheduler(kind))
+		}
+	}
+	meshSpec := func(kind core.SchedulerKind) (*core.Program, error) {
+		return lse.CompileLSS(string(mesh), lse.WithSeed(7), lse.WithScheduler(kind))
+	}
+	return []ckptNetlist{
+		{"any", recipe("any"), 60},
+		{"uint64", recipe("uint64"), 60},
+		{"mesh-at0", meshSpec, 0},
+		{"mesh-at60", meshSpec, 60},
+	}
+}
+
 // TestCheckpointRestoreBitIdentical is the checkpoint oracle: run a
 // session to cycle k, snapshot, restore onto a fresh session and run the
 // remainder. The restored run's per-cycle scheddiff hashes and its final
 // statistics dump must be bit-identical to an uninterrupted run — across
-// the sequential, levelized, sparse and woven engines, and across boxed
-// and typed (uint64-lane) payloads.
+// the sequential, levelized, sparse and woven engines, across boxed and
+// typed (uint64-lane) payloads, and on the shipped mesh.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	const snapAt, total = 60, 140
+	const total = 140
 	engines := []struct {
 		name string
 		kind core.SchedulerKind
@@ -118,11 +154,11 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		{"sparse", core.SchedulerSparse},
 		{"woven", core.SchedulerWoven},
 	}
-	for _, payload := range []string{"any", "uint64"} {
+	for _, nl := range checkpointNetlists(t) {
+		snapAt := nl.snapAt
 		for _, eng := range engines {
-			t.Run(fmt.Sprintf("%s/%s", payload, eng.name), func(t *testing.T) {
-				prog, err := core.Compile(checkpointAssemble(payload),
-					core.WithSeed(7), core.WithScheduler(eng.kind))
+			t.Run(fmt.Sprintf("%s/%s", nl.name, eng.name), func(t *testing.T) {
+				prog, err := nl.compile(eng.kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,7 +172,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := simA.Run(snapAt); err != nil {
+				if err := simA.Run(uint64(snapAt)); err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
@@ -156,10 +192,10 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer simB.Close()
-				if got := simB.Now(); got != snapAt {
+				if got := simB.Now(); got != uint64(snapAt) {
 					t.Fatalf("restored session resumes at cycle %d, want %d", got, snapAt)
 				}
-				if err := simB.Run(total - snapAt); err != nil {
+				if err := simB.Run(uint64(total - snapAt)); err != nil {
 					t.Fatal(err)
 				}
 				if len(h2.hashes) != total-snapAt {
@@ -168,7 +204,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				for i, h := range h2.hashes {
 					if h != refHashes[snapAt+i] {
 						t.Fatalf("%s/%s: restored run diverges from the uninterrupted one at cycle %d",
-							payload, eng.name, snapAt+i)
+							nl.name, eng.name, snapAt+i)
 					}
 				}
 				var st bytes.Buffer
@@ -190,8 +226,9 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 // strongest external soundness check — its replayed region must land
 // exactly the state the interpreted engines compute.
 func TestCheckpointCrossEngineWoven(t *testing.T) {
-	const snapAt, total = 60, 140
-	for _, payload := range []string{"any", "uint64"} {
+	const total = 140
+	for _, nl := range checkpointNetlists(t) {
+		snapAt := nl.snapAt
 		for _, dir := range []struct {
 			name     string
 			from, to core.SchedulerKind
@@ -199,14 +236,12 @@ func TestCheckpointCrossEngineWoven(t *testing.T) {
 			{"woven-to-levelized", core.SchedulerWoven, core.SchedulerLevelized},
 			{"levelized-to-woven", core.SchedulerLevelized, core.SchedulerWoven},
 		} {
-			t.Run(fmt.Sprintf("%s/%s", payload, dir.name), func(t *testing.T) {
-				progFrom, err := core.Compile(checkpointAssemble(payload),
-					core.WithSeed(7), core.WithScheduler(dir.from))
+			t.Run(fmt.Sprintf("%s/%s", nl.name, dir.name), func(t *testing.T) {
+				progFrom, err := nl.compile(dir.from)
 				if err != nil {
 					t.Fatal(err)
 				}
-				progTo, err := core.Compile(checkpointAssemble(payload),
-					core.WithSeed(7), core.WithScheduler(dir.to))
+				progTo, err := nl.compile(dir.to)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +251,7 @@ func TestCheckpointCrossEngineWoven(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := simA.Run(snapAt); err != nil {
+				if err := simA.Run(uint64(snapAt)); err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
@@ -231,7 +266,7 @@ func TestCheckpointCrossEngineWoven(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer simB.Close()
-				if err := simB.Run(total - snapAt); err != nil {
+				if err := simB.Run(uint64(total - snapAt)); err != nil {
 					t.Fatal(err)
 				}
 				for i, got := range h.hashes {

@@ -102,7 +102,12 @@ func (l *Link) react() {
 
 func (l *Link) cycleEnd() {
 	if l.Out.Transferred(0) {
-		l.inflight = l.inflight[1:]
+		// Pop the head in place so the FIFO keeps reusing one backing
+		// array; re-slicing off the head would make every append after a
+		// few deliveries reallocate.
+		n := copy(l.inflight, l.inflight[1:])
+		l.inflight[n] = linkEntry{}
+		l.inflight = l.inflight[:n]
 	}
 	if v, ok := l.In.TransferredData(0); ok {
 		pkt, ok := v.(*Packet)

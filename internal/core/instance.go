@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 )
 
 // Instance is a module instance in a netlist. Concrete modules obtain the
@@ -21,17 +20,17 @@ type Instance interface {
 // must call Init (usually via Builder-registered constructors) before
 // declaring ports or handlers.
 type Base struct {
-	name      string
-	self      Instance
-	sim       *Sim
-	id        int
-	ports     map[string]*Port
-	portList  []*Port // declaration order
+	name       string
+	self       Instance
+	sim        *Sim
+	id         int
+	ports      map[string]*Port
+	portList   []*Port // declaration order
 	react      func()
 	start      func()
 	end        func()
-	autonomous bool // react depends on Now()/Rand(); never activity-gated
-	scheduled  atomic.Bool
+	autonomous bool   // react depends on Now()/Rand(); never activity-gated
+	scheduled  uint32 // 1 while queued; atomic access only in multi-worker sessions
 	rng        *rand.Rand
 	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
 	pos        Pos             // spec position the instance was declared at, if known
@@ -159,7 +158,6 @@ func (b *Base) Counter(name string) *Counter {
 func (b *Base) Histogram(name string) *Histogram {
 	return b.sim.stats.histogram(b.name + "." + name)
 }
-
 
 func (b *Base) attach(s *Sim, id int) {
 	b.sim = s

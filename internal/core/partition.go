@@ -441,7 +441,7 @@ func (ph *partPhase) drainCur() {
 			if i >= n {
 				break
 			}
-			q.buf[i].scheduled.Store(false)
+			atomic.StoreUint32(&q.buf[i].scheduled, 0)
 		}
 	}
 }
@@ -496,7 +496,7 @@ func (ph *partPhase) advance() {
 		// session would never wake it again.
 		for i := range ph.cur {
 			for _, b := range ph.cur[i].buf {
-				b.scheduled.Store(false)
+				atomic.StoreUint32(&b.scheduled, 0)
 			}
 			ph.cur[i].buf = ph.cur[i].buf[:0]
 		}
@@ -553,7 +553,7 @@ func (ph *partPhase) claimShard(sh int, steal bool) {
 			return
 		}
 		b := q.buf[i]
-		b.scheduled.Store(false)
+		atomic.StoreUint32(&b.scheduled, 0)
 		if steal {
 			s.stealCount.Add(1)
 			if m := s.metrics; m != nil {

@@ -64,7 +64,7 @@ func (p *workerPool) runOne(r *poolRound) {
 				if i >= len(r.batch) {
 					break
 				}
-				r.batch[i].scheduled.Store(false)
+				atomic.StoreUint32(&r.batch[i].scheduled, 0)
 			}
 		}
 		r.wg.Done()
@@ -75,7 +75,7 @@ func (p *workerPool) runOne(r *poolRound) {
 			return
 		}
 		b := r.batch[i]
-		b.scheduled.Store(false)
+		atomic.StoreUint32(&b.scheduled, 0)
 		r.sim.runReact(b)
 	}
 }

@@ -172,6 +172,7 @@ func compileProgram(instances []Instance, conns []*Conn, sched SchedulerKind, pr
 			p.schedule.info.PrunedConns = p.pruned.nConns
 			p.schedule.info.PrunedInsts = p.pruned.nInsts
 		}
+		p.sparse.dirtyRuns = idRuns(p.sparse.dirty)
 		p.schedule.info.fillActivity(p.sparse)
 	}
 	if sched == SchedulerWoven {

@@ -26,19 +26,23 @@ import (
 // unreadable outside a data-Yes window, so only the spill lane is cleared
 // at commit.
 //
-// Status cells are atomic because the parallel scheduler's workers race
-// on raise; the data lanes are written only by the single instance that
-// drives the connection's data signal, ordered by the status store.
+// Status cells are plain uint32s with a single-writer contract
+// (DESIGN.md Appendix C): a one-worker session reads and writes them with
+// ordinary loads and stores from its one stepping goroutine, while a
+// multi-worker session, whose pool workers race on raise, goes through
+// explicit sync/atomic loads and compare-and-swaps. The data lanes are
+// written only by the single instance that drives the connection's data
+// signal, ordered by the status store.
 type sigPlane struct {
-	lanes  [3][]atomic.Uint32 // indexed by SigKind, then conn id
-	data   []any              // spill lane: valid where the data lane holds Yes
-	scalar []uint64           // fast lane for PayloadUint64 connections
+	lanes  [3][]uint32 // indexed by SigKind, then conn id
+	data   []any       // spill lane: valid where the data lane holds Yes
+	scalar []uint64    // fast lane for PayloadUint64 connections
 }
 
 func newSigPlane(nConns int) sigPlane {
 	var p sigPlane
 	for k := range p.lanes {
-		p.lanes[k] = make([]atomic.Uint32, nConns)
+		p.lanes[k] = make([]uint32, nConns)
 	}
 	p.data = make([]any, nConns)
 	p.scalar = make([]uint64, nConns)
@@ -53,17 +57,44 @@ func (p *sigPlane) clearStatus() {
 	}
 }
 
-// clearConn resets one connection's three status cells and spill value —
-// the sparse scheduler's per-connection reset for the active region. The
-// scalar lane is left as is: a stale scalar pins nothing and is
-// unreadable until the next data-Yes store overwrites it. Indexed by
-// conn id: only the sparse engine calls this, and sparse programs carry
-// no partition, so slot == id.
-func (p *sigPlane) clearConn(id int) {
-	p.lanes[SigData][id].Store(uint32(Unknown))
-	p.lanes[SigEnable][id].Store(uint32(Unknown))
-	p.lanes[SigAck][id].Store(uint32(Unknown))
-	p.data[id] = nil
+// idRun is a maximal contiguous [lo,hi) run of connection ids.
+type idRun [2]int32
+
+// idRuns splits an ascending id list into its maximal contiguous runs —
+// the shape the replaying engines (sparse and woven) reset a steady
+// cycle's dirty region in. Sound only where slot == id, which holds for
+// every program without a shard partition.
+func idRuns(ids []int32) []idRun {
+	var runs []idRun
+	for i := 0; i < len(ids); {
+		j := i
+		for j+1 < len(ids) && ids[j+1] == ids[j]+1 {
+			j++
+		}
+		runs = append(runs, idRun{ids[i], ids[j] + 1})
+		i = j + 1
+	}
+	return runs
+}
+
+// resetRuns resets the status cells of every run to Unknown, one memclr
+// per status lane per run. The scalar lane is left as is: a stale scalar
+// pins nothing and is unreadable until the next data-Yes store
+// overwrites it.
+func (p *sigPlane) resetRuns(runs []idRun) {
+	for _, r := range runs {
+		lo, hi := r[0], r[1]
+		clear(p.lanes[SigData][lo:hi])
+		clear(p.lanes[SigEnable][lo:hi])
+		clear(p.lanes[SigAck][lo:hi])
+	}
+}
+
+// releaseRuns drops the spill values of every run, one memclr per run.
+func (p *sigPlane) releaseRuns(runs []idRun) {
+	for _, r := range runs {
+		clear(p.data[r[0]:r[1]])
+	}
 }
 
 // Conn is one connection between an output port and an input port. It
@@ -167,7 +198,11 @@ func (c *Conn) String() string {
 }
 
 func (c *Conn) status(k SigKind) Status {
-	return Status(c.sim.plane.lanes[k][c.slot].Load())
+	cell := &c.sim.plane.lanes[k][c.slot]
+	if c.sim.workers == 1 {
+		return Status(*cell)
+	}
+	return Status(atomic.LoadUint32(cell))
 }
 
 // checkWrite validates that driving a signal is legal right now — the
@@ -248,47 +283,43 @@ func (c *Conn) raiseUint64(v uint64) bool {
 }
 
 // resolve performs the status transition for signal k: the data/scalar
-// lane store (done by the caller) must precede this call so the release
-// CAS publishes the value; the acquire load in status() orders reads.
-// Under a single-worker engine only one goroutine ever raises, so the
-// transition is a plain load + store instead of a bus-locking CAS.
+// lane store (done by the caller) must precede this call. A one-worker
+// session has exactly one goroutine that ever touches the plane, so the
+// transition is a plain load and store. A multi-worker session's release
+// CAS publishes the value to the pool workers, whose acquire load in
+// status() orders their reads.
 func (c *Conn) resolve(k SigKind, s Status) bool {
-	cell := &c.sim.plane.lanes[k][c.slot]
-	if c.sim.workers == 1 {
-		if prev := Status(cell.Load()); prev != Unknown {
+	sim := c.sim
+	cell := &sim.plane.lanes[k][c.slot]
+	if sim.workers == 1 {
+		if prev := Status(*cell); prev != Unknown {
 			if prev != s {
-				contractPanic("raise "+k.String(), c.String(),
-					fmt.Sprintf("already resolved to %s, cannot re-raise to %s", prev, s))
+				c.badReraise(k, prev, s)
 			}
 			return false
 		}
-		cell.Store(uint32(s))
-		c.sim.resolved[k]++
-		c.sim.onResolve(c, k, s)
-		c.sim.noteResolve(c, k)
-		if k == SigAck {
-			c.sim.wake(c.src.owner)
-		} else {
-			c.sim.wake(c.dst.owner)
+		*cell = uint32(s)
+		sim.resolved[k]++
+	} else if !atomic.CompareAndSwapUint32(cell, uint32(Unknown), uint32(s)) {
+		if prev := Status(atomic.LoadUint32(cell)); prev != s {
+			c.badReraise(k, prev, s)
 		}
-		return true
+		return false
 	}
-	if cell.CompareAndSwap(uint32(Unknown), uint32(s)) {
-		c.sim.onResolve(c, k, s)
-		c.sim.noteResolve(c, k)
-		// Wake the endpoint that observes this signal.
-		if k == SigAck {
-			c.sim.wake(c.src.owner)
-		} else {
-			c.sim.wake(c.dst.owner)
-		}
-		return true
+	sim.onResolve(c, k, s)
+	sim.noteResolve(c, k)
+	// Wake the endpoint that observes this signal.
+	if k == SigAck {
+		sim.wake(c.src.owner)
+	} else {
+		sim.wake(c.dst.owner)
 	}
-	if prev := Status(cell.Load()); prev != s {
-		contractPanic("raise "+k.String(), c.String(),
-			fmt.Sprintf("already resolved to %s, cannot re-raise to %s", prev, s))
-	}
-	return false
+	return true
+}
+
+func (c *Conn) badReraise(k SigKind, prev, s Status) {
+	contractPanic("raise "+k.String(), c.String(),
+		fmt.Sprintf("already resolved to %s, cannot re-raise to %s", prev, s))
 }
 
 // transferred reports whether the handshake completed this cycle. It is

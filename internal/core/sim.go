@@ -172,19 +172,24 @@ func (s *Sim) setPhase(p phase) {
 
 // wake schedules an instance's reactive handler. b is never nil: every
 // caller passes a built instance's Base (connection endpoints and the
-// instance list are fixed at Build). The already-scheduled early-out
-// inlines into raise's resolution path — the common case on busy
-// netlists, where every resolution wakes an endpoint — as a plain load
-// instead of a call and a bus-locking compare-and-swap.
+// instance list are fixed at Build). A one-worker session owns the
+// scheduled flag outright, so its already-scheduled early-out is a plain
+// load that inlines into resolve's hot path — the common case on busy
+// netlists, where every resolution wakes an endpoint. A multi-worker
+// session's pool workers race on the flag, so its wakes always take the
+// compare-and-swap in wakeSlow.
 func (s *Sim) wake(b *Base) {
-	if b.react == nil || b.scheduled.Load() {
+	if s.workers == 1 && (b.react == nil || b.scheduled != 0) {
 		return
 	}
 	s.wakeSlow(b)
 }
 
 func (s *Sim) wakeSlow(b *Base) {
-	if !b.scheduled.CompareAndSwap(false, true) {
+	if s.workers == 1 {
+		b.scheduled = 1
+	} else if b.react == nil || atomic.LoadUint32(&b.scheduled) != 0 ||
+		!atomic.CompareAndSwapUint32(&b.scheduled, 0, 1) {
 		return
 	}
 	if m := s.metrics; m != nil {
@@ -205,6 +210,17 @@ func (s *Sim) wakeSlow(b *Base) {
 		return
 	}
 	s.queue = append(s.queue, b)
+}
+
+// unschedule clears b's scheduled flag on the stepping goroutine: a plain
+// store in a one-worker session, an atomic one when pool workers may
+// read the flag concurrently.
+func (s *Sim) unschedule(b *Base) {
+	if s.workers == 1 {
+		b.scheduled = 0
+		return
+	}
+	atomic.StoreUint32(&b.scheduled, 0)
 }
 
 func (s *Sim) drain() {
@@ -243,7 +259,7 @@ func (s *Sim) drain() {
 		}
 		b := s.queue[s.qhead]
 		s.qhead++
-		b.scheduled.Store(false)
+		s.unschedule(b)
 		s.runReact(b)
 	}
 	s.queue = s.queue[:0]
@@ -325,7 +341,7 @@ func (s *Sim) drainParallel() {
 			for s.qhead < len(s.queue) && len(s.queue)-s.qhead < s.parMin {
 				b := s.queue[s.qhead]
 				s.qhead++
-				b.scheduled.Store(false)
+				atomic.StoreUint32(&b.scheduled, 0)
 				s.runReact(b)
 			}
 			batch = append(batch[:0], s.queue[s.qhead:]...)
@@ -555,12 +571,12 @@ func (s *Sim) Step() (err error) {
 			// wakes collected during an aborted parallel round), or those
 			// instances would be skipped by every future wake.
 			for _, b := range s.queue[s.qhead:] {
-				b.scheduled.Store(false)
+				s.unschedule(b)
 			}
 			s.queue = s.queue[:0]
 			s.qhead = 0
 			for _, b := range s.wakes {
-				b.scheduled.Store(false)
+				s.unschedule(b)
 			}
 			s.wakes = s.wakes[:0]
 			s.par = false
@@ -595,11 +611,12 @@ func (s *Sim) Step() (err error) {
 			clear(s.plane.data)
 		}
 	} else if sp != nil {
-		for _, id := range sp.dirty {
-			s.plane.clearConn(int(id))
-		}
+		// Steady replaying cycle: reset only the dirty region, one memclr
+		// per status lane per contiguous id run. Its spill values were
+		// already released at the previous commit.
+		s.plane.resetRuns(sp.dirtyRuns)
 	} else {
-		s.clearWovenDirty()
+		s.plane.resetRuns(wv.dirtyRuns)
 	}
 	s.setPhase(phaseStart)
 	if wv != nil {
@@ -652,7 +669,12 @@ func (s *Sim) Step() (err error) {
 			s.verifyResolved(s.conns)
 		}
 	case sp != nil:
-		s.verifyResolvedIDs(sp.dirty)
+		// Sparse steady cycle: the gated region replays resolved cells,
+		// so every counted resolution landed in the dirty region, and
+		// 3*len(dirty) of them prove it fully resolved without a scan.
+		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(sp.dirty) {
+			s.verifyResolvedIDs(sp.dirty)
+		}
 	default:
 		// Woven steady cycle: the replayed region is resolved by
 		// construction; the counters (bulk replay accounting plus
@@ -679,26 +701,23 @@ func (s *Sim) Step() (err error) {
 	}
 	s.setPhase(phaseIdle)
 	// Commit: release transferred data values now instead of pinning them
-	// until the next cycle's reset. The sparse gated region and the woven
-	// compiled region keep their values — they are the replayed
-	// resolution. The released flag makes both lanes read as "not driven"
-	// until the next Step, so the kept values (and stale scalars, which
-	// are never cleared) stay unobservable between cycles.
+	// until the next cycle's reset. The replaying engines release only
+	// the region the next steady cycle resets — on full cycles too, so a
+	// steady cycle never has spill values to drop — while the sparse
+	// gated region and the woven compiled region keep theirs: they are
+	// the replayed resolution. The released flag makes both lanes read as
+	// "not driven" until the next Step, so the kept values (and stale
+	// scalars, which are never cleared) stay unobservable between cycles.
 	s.released = true
 	switch {
-	case sp == nil && wv == nil:
-		clear(s.plane.data)
-	case full:
-		// Full replaying cycles release nothing: the whole plane is the
-		// next cycle's replay baseline, hidden by the released flag.
 	case sp != nil:
-		for _, id := range sp.dirty {
-			s.plane.data[id] = nil
-		}
-	default:
+		s.plane.releaseRuns(sp.dirtyRuns)
+	case wv != nil:
 		for _, id := range wv.spill {
 			s.plane.data[id] = nil
 		}
+	default:
+		clear(s.plane.data)
 	}
 	s.cycle++
 	if m := s.metrics; m != nil {

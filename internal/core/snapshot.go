@@ -98,7 +98,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 	for k := range snap.Status {
 		lane := make([]uint32, len(s.conns))
 		for i, c := range s.conns {
-			lane[i] = s.plane.lanes[k][c.slot].Load()
+			lane[i] = s.plane.lanes[k][c.slot]
 		}
 		snap.Status[k] = lane
 	}
@@ -161,7 +161,7 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	}
 	for k := range snap.Status {
 		for i, v := range snap.Status[k] {
-			s.plane.lanes[k][s.conns[i].slot].Store(v)
+			s.plane.lanes[k][s.conns[i].slot] = v
 		}
 	}
 	for i, v := range snap.Scalar {

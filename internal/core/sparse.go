@@ -57,6 +57,7 @@ type progSparse struct {
 	active     []bool  // instance id -> in the active region
 	connActive []bool  // conn id -> reset and re-resolved each cycle
 	dirty      []int32 // active conns, ascending id
+	dirtyRuns  []idRun // contiguous runs of dirty; slot == id without a partition
 	reactWake  []int32 // active reactive instances, ascending id
 
 	// Active-region restrictions of the static schedule's sweep.

@@ -62,6 +62,8 @@ package core
 // they compose with any slot-indirected layout a future partition
 // assigns.
 
+import "sync/atomic"
+
 // WeaveClass classifies one connection under the woven scheduler's
 // compile-time kernel specialization (see Sim.WeaveClasses).
 type WeaveClass uint8
@@ -124,13 +126,13 @@ type progWeave struct {
 
 	// Fallback region: the connections a steady cycle must reset and
 	// re-resolve through the interpreted path.
-	dirty     []int32    // fallback conns, ascending id
-	dirtyRuns [][2]int32 // maximal contiguous [lo,hi) id runs of dirty —
-	// each run clears as one memclr per status lane instead of three
+	dirty     []int32 // fallback conns, ascending id
+	dirtyRuns []idRun // maximal contiguous id runs of dirty (idRuns) —
+	// each run resets as one memclr per status lane instead of three
 	// scattered stores per connection. Sound because woven programs have
 	// no shard partition: slot == id, so id runs are plane runs.
 	spill []int32 // fallback conns on the boxed data lane — the only
-	// data cells a steady cycle releases; scalar-lane cells pin nothing
+	// data cells a cycle's commit releases; scalar-lane cells pin nothing
 	// and stay unobservable until the next data-Yes store (signal.go).
 
 	// kernels holds the fused control kernels grouped by forward sweep
@@ -226,14 +228,7 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 		}
 	}
 	wv.nFallback = len(wv.dirty)
-	for i := 0; i < len(wv.dirty); {
-		j := i
-		for j+1 < len(wv.dirty) && wv.dirty[j+1] == wv.dirty[j]+1 {
-			j++
-		}
-		wv.dirtyRuns = append(wv.dirtyRuns, [2]int32{wv.dirty[i], wv.dirty[j] + 1})
-		i = j + 1
-	}
+	wv.dirtyRuns = idRuns(wv.dirty)
 	for _, id := range wv.dirty {
 		if !conns[id].scalar {
 			wv.spill = append(wv.spill, id)
@@ -279,14 +274,15 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 // connection into a fused closure resolving data, enable and ack in rule
 // order. Everything that is constant at compile time — the plane slot,
 // the control functions, the static default statuses — is captured; the
-// per-cycle body is three raw lane stores plus at most two control
-// calls. Raw stores are sound because the endpoints are provably
-// reaction-free: no module code can have resolved (or can observe) these
-// cells mid-cycle, so the single-assignment contract the interpreted
-// resolve() enforces dynamically holds here by construction. The data
-// value is the compile-time nil of an undriven connection, so the
-// control functions see exactly the arguments the sequential defaulter
-// would pass.
+// per-cycle body is at most two control calls plus three raw lane
+// stores (plain in a one-worker session, atomic when pool workers may
+// read the cells). Raw stores are sound because the endpoints are
+// provably reaction-free: no module code can have resolved (or can
+// observe) these cells mid-cycle, so the single-assignment contract the
+// interpreted resolve() enforces dynamically holds here by construction.
+// The data value is the compile-time nil of an undriven connection, so
+// the control functions see exactly the arguments the sequential
+// defaulter would pass.
 func makeControlKernel(c *Conn) wovenKernel {
 	id := c.id
 	// Woven programs carry no shard partition, so the session bind maps
@@ -299,8 +295,6 @@ func makeControlKernel(c *Conn) wovenKernel {
 	defEnable := c.src.opts.DefaultEnable
 	defAck := c.dst.opts.DefaultAck
 	return func(s *Sim) {
-		pl := &s.plane
-		pl.lanes[SigData][slot].Store(uint32(No))
 		en := Unknown
 		if srcFn != nil {
 			en = srcFn(No, Unknown, nil)
@@ -311,7 +305,6 @@ func makeControlKernel(c *Conn) wovenKernel {
 		if en == Unknown {
 			en = No // enable follows the connection's own (defaulted-No) data
 		}
-		pl.lanes[SigEnable][slot].Store(uint32(en))
 		ack := Unknown
 		if dstFn != nil {
 			ack = dstFn(No, en, nil)
@@ -322,7 +315,15 @@ func makeControlKernel(c *Conn) wovenKernel {
 		if ack == Unknown {
 			ack = No // firm-accept fails: the data signal is No
 		}
-		pl.lanes[SigAck][slot].Store(uint32(ack))
+		pl := &s.plane
+		data, enable, ackCell := &pl.lanes[SigData][slot], &pl.lanes[SigEnable][slot], &pl.lanes[SigAck][slot]
+		if s.workers == 1 {
+			*data, *enable, *ackCell = uint32(No), uint32(en), uint32(ack)
+		} else {
+			atomic.StoreUint32(data, uint32(No))
+			atomic.StoreUint32(enable, uint32(en))
+			atomic.StoreUint32(ackCell, uint32(ack))
+		}
 		if t := s.tracer; t != nil {
 			kc := s.conns[id]
 			t.OnResolve(kc, SigData, No)
@@ -349,27 +350,6 @@ func (s *Sim) WeaveClasses() []WeaveClass {
 		pr = s.prog.pruned
 	}
 	return buildWeave(s.instances, s.conns, s.schedule, pr).class
-}
-
-// clearWovenDirty resets the fallback region for a steady woven cycle:
-// one memclr per status lane per contiguous dirty run, plus a boxed-lane
-// release for the fallback connections that can actually hold a boxed
-// value. Const and kernel connections are never cleared — const cells
-// replay and kernel cells are overwritten unconditionally — and
-// scalar-lane data cells are skipped entirely (a stale scalar pins
-// nothing and is unobservable, see sigPlane).
-func (s *Sim) clearWovenDirty() {
-	wv := s.weave
-	pl := &s.plane
-	for _, r := range wv.dirtyRuns {
-		lo, hi := r[0], r[1]
-		clear(pl.lanes[SigData][lo:hi])
-		clear(pl.lanes[SigEnable][lo:hi])
-		clear(pl.lanes[SigAck][lo:hi])
-	}
-	for _, id := range wv.spill {
-		pl.data[id] = nil
-	}
 }
 
 // applyDefaultsWoven is the woven scheduler's steady-cycle default

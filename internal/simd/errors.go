@@ -31,8 +31,11 @@ const (
 	// CodeSnapshotInvalid (422): the uploaded checkpoint is not a valid
 	// snapshot stream or was taken from a structurally different program.
 	CodeSnapshotInvalid ErrorCode = "LSD005"
-	// CodeModelError (422): the model itself failed while stepping — a
-	// communication-contract violation raised by a module handler.
+	// CodeModelError (422): the model itself failed — a
+	// communication-contract violation raised by a module handler while
+	// stepping, or a snapshot of a model that cannot be checkpointed (a
+	// handler-bearing module without core.Stateful, or module state that
+	// does not encode).
 	CodeModelError ErrorCode = "LSD006"
 	// CodeUnavailable (503): the server cannot serve the request right
 	// now — session capacity reached, a parked session's checkpoint is

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -622,13 +623,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeUnavailable, "session %s has neither a live simulator nor a checkpoint", ss.id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := sim.Snapshot(w); err != nil {
-		// Headers are committed; the client sees a truncated stream, which
-		// gob decoding rejects. Log-free by design: the restore side
-		// reports it.
-		_ = err
+	// Snapshot into a buffer first: a model that cannot be checkpointed
+	// fails after part of the stream could have been written, and the
+	// client must get an error envelope, not a 200 with a truncated body.
+	var buf bytes.Buffer
+	if err := sim.Snapshot(&buf); err != nil {
+		writeError(w, CodeModelError, "session %s cannot be checkpointed: %v", ss.id, err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = buf.WriteTo(w)
 }
 
 // handleLocalMetrics is the single-session compatibility endpoint: the

@@ -746,3 +746,85 @@ func TestProgramLRUEviction(t *testing.T) {
 		t.Fatalf("session on evicted program: %+v (err %v)", st, err)
 	}
 }
+
+// opaqueModule has a cycle-start handler but does not implement
+// core.Stateful, so Sim.Snapshot refuses any session that contains it.
+type opaqueModule struct {
+	core.Base
+	out *core.Port
+}
+
+func init() {
+	core.Register(&core.Template{
+		Name: "simdtest.opaque",
+		Doc:  "test-only module with a handler and no checkpoint support",
+		Build: func(b *core.Builder, name string, p core.Params) (core.Instance, error) {
+			m := &opaqueModule{}
+			m.Init(name, m)
+			m.out = m.AddOutPort("out", core.PortOpts{MinWidth: 1, MaxWidth: 1})
+			m.OnCycleStart(func() {
+				m.out.SendNothing(0)
+				m.out.Disable(0)
+			})
+			return m, nil
+		},
+	})
+}
+
+// TestSnapshotErrorNotOK pins the snapshot endpoint's error path: a
+// session whose model cannot be checkpointed must answer with the
+// CodeModelError envelope, never a 200 with a truncated or empty body,
+// and the session must stay usable afterwards.
+func TestSnapshotErrorNotOK(t *testing.T) {
+	ctx := context.Background()
+	_, client := newTestServer(t, Config{})
+	prog, err := client.SubmitProgram(ctx, SubmitProgramRequest{
+		Name: "opaque.lss",
+		Spec: "instance o : simdtest.opaque();\ninstance snk : pcl.sink();\no.out -> snk.in;\n",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Run(ctx, sess.ID, 10); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := client.httpClient().Get(client.Base + "/v1/sessions/" + sess.ID + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("snapshot of a non-Stateful model: status %d, want %d", resp.StatusCode, http.StatusUnprocessableEntity)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("error answered with Content-Type %q, want application/json", ct)
+	}
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("error body is not an error envelope: %v", err)
+	}
+	if env.Error == nil || env.Error.Code != CodeModelError {
+		t.Fatalf("error envelope = %+v, want code %s", env.Error, CodeModelError)
+	}
+	if !strings.Contains(env.Error.Message, "core.Stateful") {
+		t.Fatalf("error message %q does not name the missing core.Stateful", env.Error.Message)
+	}
+
+	// The client surfaces the same code, and the refused snapshot left
+	// the session intact.
+	if _, err := client.Snapshot(ctx, sess.ID); !isCode(err, CodeModelError) {
+		t.Fatalf("Client.Snapshot error = %v, want %s", err, CodeModelError)
+	}
+	step, err := client.Run(ctx, sess.ID, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step.Cycle != 15 {
+		t.Fatalf("session resumed at cycle %d after the refused snapshot, want 15", step.Cycle)
+	}
+}
