@@ -3,6 +3,7 @@ package liberty_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -85,6 +86,58 @@ func checkpointAssemble(payload string) func(*core.Builder) error {
 	}
 }
 
+// lateDrawAssemble is a recipe whose random stream is idle at the
+// snapshot cycle: a rate-1 source (which never draws to gate injection)
+// whose generator offers nothing before cycle lateDrawFrom and draws
+// each payload from the instance's stream after it, into a queue and a
+// sink. A rate-gated source beside it draws every cycle. Snapshotted
+// before lateDrawFrom, the late source's stream has never been created;
+// the restored session must create it on its first draw at exactly the
+// state the uninterrupted run reaches.
+func lateDrawAssemble(b *core.Builder) error {
+	const lateDrawFrom = 80
+	late, err := pcl.NewSource("late", core.Params{"gen": pcl.GenFn(
+		func(rng *rand.Rand, cycle, seq uint64) (any, bool) {
+			if cycle < lateDrawFrom {
+				return nil, true
+			}
+			return rng.Intn(1 << 20), true
+		})})
+	if err != nil {
+		return err
+	}
+	busy, err := pcl.NewSource("busy", core.Params{"rate": 0.5})
+	if err != nil {
+		return err
+	}
+	arb, err := pcl.NewArbiter("arb", nil)
+	if err != nil {
+		return err
+	}
+	q, err := pcl.NewQueue("q", core.Params{"capacity": int64(2)})
+	if err != nil {
+		return err
+	}
+	snk, err := pcl.NewSink("snk", nil)
+	if err != nil {
+		return err
+	}
+	for _, inst := range []core.Instance{late, busy, arb, q, snk} {
+		b.Add(inst)
+	}
+	for _, c := range []struct {
+		src  core.Instance
+		port string
+		dst  core.Instance
+		in   string
+	}{{late, "out", arb, "in"}, {busy, "out", arb, "in"}, {arb, "out", q, "in"}, {q, "out", snk, "in"}} {
+		if err := b.Connect(c.src, c.port, c.dst, c.in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runStamped stamps a session from prog with a cycle hasher attached,
 // runs it for cycles and returns the hash sequence and statistics dump.
 func runStamped(t *testing.T, prog *core.Program, cycles uint64) ([]uint64, string) {
@@ -112,7 +165,8 @@ type ckptNetlist struct {
 }
 
 // checkpointNetlists returns the checkpoint oracles' netlists: the pcl
-// recipe with boxed and typed (uint64-lane) payloads, and the shipped
+// recipe with boxed and typed (uint64-lane) payloads, a recipe with a
+// stream that first draws after the snapshot, and the shipped
 // specs/mesh.lss — ccl links carrying boxed *ccl.Packet values through a
 // cyclic torus — snapshotted both before its first cycle and mid-run.
 func checkpointNetlists(t *testing.T) []ckptNetlist {
@@ -132,6 +186,9 @@ func checkpointNetlists(t *testing.T) []ckptNetlist {
 	return []ckptNetlist{
 		{"any", recipe("any"), 60},
 		{"uint64", recipe("uint64"), 60},
+		{"late-draw", func(kind core.SchedulerKind) (*core.Program, error) {
+			return core.Compile(lateDrawAssemble, core.WithSeed(7), core.WithScheduler(kind))
+		}, 60},
 		{"mesh-at0", meshSpec, 0},
 		{"mesh-at60", meshSpec, 60},
 	}

@@ -137,20 +137,22 @@ func (b *Builder) ConnectPorts(sp, dp *Port) error {
 	if sp == nil || dp == nil {
 		return b.fail(&BuildError{Op: "connect", Where: "?", Detail: "nil port"})
 	}
-	where := sp.fullName() + " -> " + dp.fullName()
+	// The error location is only built on a failure path: connecting is
+	// on every stamp's recipe rerun.
+	fail := func(detail string) error {
+		return b.fail(&BuildError{Op: "connect", Where: sp.fullName() + " -> " + dp.fullName(), Detail: detail})
+	}
 	if sp.dir != Out {
-		return b.fail(&BuildError{Op: "connect", Where: where, Detail: "source must be an Out port"})
+		return fail("source must be an Out port")
 	}
 	if dp.dir != In {
-		return b.fail(&BuildError{Op: "connect", Where: where, Detail: "destination must be an In port"})
+		return fail("destination must be an In port")
 	}
 	if max := sp.opts.MaxWidth; max > 0 && len(sp.conns) >= max {
-		return b.fail(&BuildError{Op: "connect", Where: where,
-			Detail: fmt.Sprintf("source port width limited to %d", max)})
+		return fail(fmt.Sprintf("source port width limited to %d", max))
 	}
 	if max := dp.opts.MaxWidth; max > 0 && len(dp.conns) >= max {
-		return b.fail(&BuildError{Op: "connect", Where: where,
-			Detail: fmt.Sprintf("destination port width limited to %d", max)})
+		return fail(fmt.Sprintf("destination port width limited to %d", max))
 	}
 	c := &Conn{id: len(b.conns), src: sp, dst: dp, srcIdx: len(sp.conns), dstIdx: len(dp.conns), pos: b.at}
 	sp.conns = append(sp.conns, c)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 )
@@ -29,11 +28,10 @@ type Base struct {
 	react      func()
 	start      func()
 	end        func()
-	autonomous bool   // react depends on Now()/Rand(); never activity-gated
-	scheduled  uint32 // 1 while queued; atomic access only in multi-worker sessions
-	rng        *rand.Rand
-	rsrc       *countingSource // rng's underlying source; draw count feeds Snapshot
-	pos        Pos             // spec position the instance was declared at, if known
+	autonomous bool       // react depends on Now()/Rand(); never activity-gated
+	scheduled  uint32     // 1 while queued; atomic access only in multi-worker sessions
+	rng        *rngStream // nil until the first Rand call
+	pos        Pos        // spec position the instance was declared at, if known
 }
 
 // Init names the instance and records its concrete value. It must be
@@ -143,8 +141,17 @@ func (b *Base) Now() uint64 { return b.sim.cycle }
 
 // Rand returns the instance's deterministic random source, seeded from
 // the simulator seed and the instance name so runs are reproducible and
-// independent of netlist assembly order.
-func (b *Base) Rand() *rand.Rand { return b.rng }
+// independent of netlist assembly order. The stream is created on first
+// use, so instances that never draw cost no generator state.
+func (b *Base) Rand() *rand.Rand { return &b.stream().r }
+
+// stream returns the instance's random stream, creating it on first use.
+func (b *Base) stream() *rngStream {
+	if b.rng == nil {
+		b.rng = newRNGStream(b.sim.seed ^ int64(fnvString(fnvOffset64, b.name)))
+	}
+	return b.rng
+}
 
 // Counter registers (or retrieves) a statistics counter scoped to this
 // instance. Increment counters only from OnCycleStart or OnCycleEnd;
@@ -162,14 +169,6 @@ func (b *Base) Histogram(name string) *Histogram {
 func (b *Base) attach(s *Sim, id int) {
 	b.sim = s
 	b.id = id
-	h := fnv.New64a()
-	h.Write([]byte(b.name))
-	// The source is wrapped in a draw counter so Snapshot can record the
-	// stream position and Restore can replay it; the counting layer draws
-	// one underlying step per call, exactly like the bare source, so
-	// streams are unchanged.
-	b.rsrc = newCountingSource(s.seed ^ int64(h.Sum64()))
-	b.rng = rand.New(b.rsrc)
 }
 
 // Composite is a hierarchical instance assembled from sub-instances of

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // program.go separates the two halves the paper keeps distinct: structure
 // and behavior. A Program is the immutable compiled form of a netlist —
@@ -222,21 +219,17 @@ func (p *Program) checkStamp(instances []Instance, conns []*Conn, sched Schedule
 // fingerprintNetlist hashes the netlist structure the compiled artifacts
 // depend on: instance names and handler shapes (which drive the activity
 // partition) and connection endpoints with payload kinds (which drive the
-// schedule and lane election). FNV-64a over the assembly order.
+// schedule and lane election). FNV-64a over the assembly order: every
+// integer as 8 little-endian bytes, every string as its length then its
+// bytes. The value is pinned — snapshots, parked lsd sessions and the
+// /v1 ProgramInfo embed it — so any rewrite must hash the same bytes.
 func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	h := uint64(fnvOffset64)
 	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
+		h = fnvUint64(h, uint64(len(s)))
+		h = fnvString(h, s)
 	}
-	u64(uint64(len(instances)))
+	h = fnvUint64(h, uint64(len(instances)))
 	for _, inst := range instances {
 		b := inst.base()
 		str(b.name)
@@ -256,17 +249,43 @@ func fingerprintNetlist(instances []Instance, conns []*Conn) uint64 {
 		if _, ok := inst.(*Composite); ok {
 			flags |= 16
 		}
-		u64(flags)
+		h = fnvUint64(h, flags)
 	}
-	u64(uint64(len(conns)))
+	h = fnvUint64(h, uint64(len(conns)))
 	for _, c := range conns {
 		str(c.src.owner.name)
 		str(c.src.name)
-		u64(uint64(c.srcIdx))
+		h = fnvUint64(h, uint64(c.srcIdx))
 		str(c.dst.owner.name)
 		str(c.dst.name)
-		u64(uint64(c.dstIdx))
-		u64(uint64(c.src.opts.Payload)<<8 | uint64(c.dst.opts.Payload))
+		h = fnvUint64(h, uint64(c.dstIdx))
+		h = fnvUint64(h, uint64(c.src.opts.Payload)<<8|uint64(c.dst.opts.Payload))
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-64a (the hash/fnv New64a function), inlined: the fingerprint and
+// the per-instance seeds are hashed on every stamp, and feeding strings
+// through hash.Hash costs a []byte conversion per write.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvString folds the bytes of s into the running FNV-64a hash h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// fnvUint64 folds v into h as 8 little-endian bytes.
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(v >> (8 * i)))
+		h *= fnvPrime64
+	}
+	return h
 }

@@ -17,9 +17,9 @@ type statusRecorder struct {
 	cycles []string
 }
 
-func (r *statusRecorder) OnCycleBegin(uint64)                         {}
+func (r *statusRecorder) OnCycleBegin(uint64)                             {}
 func (r *statusRecorder) OnResolve(*core.Conn, core.SigKind, core.Status) {}
-func (r *statusRecorder) Attach(s *core.Sim)                          { r.sim = s }
+func (r *statusRecorder) Attach(s *core.Sim)                              { r.sim = s }
 
 func (r *statusRecorder) OnCycleEnd(n uint64) {
 	fp := ""

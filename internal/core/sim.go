@@ -82,6 +82,12 @@ type Sim struct {
 	// the atomic add, so the scalar fast lane costs nothing.
 	spillHits atomic.Uint64
 
+	// published is cycle as of its last publication, for scrapers on
+	// other goroutines (PublishedCycle). The Run loops store it every
+	// publishEvery cycles and on return; Step never does, so the step
+	// path carries no locked instruction.
+	published atomic.Uint64
+
 	// resolved counts this cycle's resolutions per signal kind. It is
 	// maintained only on the single-worker resolve path (a plain
 	// increment; parallel workers would contend on it), so consumers may
@@ -133,7 +139,25 @@ func (s *Sim) Program() *Program { return s.prog }
 func (s *Sim) Seed() int64 { return s.seed }
 
 // Now returns the current cycle number (the number of completed cycles).
+// It reads the stepping goroutine's own counter: call it from that
+// goroutine, or after a happens-before edge with it. Other goroutines
+// use PublishedCycle.
 func (s *Sim) Now() uint64 { return s.cycle }
+
+// publishEvery is how often, in cycles, the Run loops publish the cycle
+// count mid-run. A power of two.
+const publishEvery = 256
+
+// PublishedCycle returns the cycle count as of its last publication. It
+// is safe to call from any goroutine while another steps the simulator —
+// the live-metrics scrape reads it. Run, RunContext, RunUntil and
+// RunUntilContext publish every 256 cycles and when they return, and a
+// restored session starts published at its snapshot cycle; a bare Step
+// publishes nothing, so a caller that steps by hand publishes through
+// its next Run.
+func (s *Sim) PublishedCycle() uint64 { return s.published.Load() }
+
+func (s *Sim) publishCycle() { s.published.Store(s.cycle) }
 
 // Stats returns the simulator's statistics set.
 func (s *Sim) Stats() *StatSet { return s.stats }
@@ -734,6 +758,7 @@ func (s *Sim) Run(n uint64) error { return s.RunContext(context.Background(), n)
 // checked between cycles, so a cancelled run always stops on a cycle
 // boundary with the simulator in a consistent state.
 func (s *Sim) RunContext(ctx context.Context, n uint64) error {
+	defer s.publishCycle()
 	done := ctx.Done()
 	for i := uint64(0); i < n; i++ {
 		if done != nil {
@@ -745,6 +770,9 @@ func (s *Sim) RunContext(ctx context.Context, n uint64) error {
 		}
 		if err := s.Step(); err != nil {
 			return fmt.Errorf("cycle %d: %w", s.cycle, err)
+		}
+		if s.cycle%publishEvery == 0 {
+			s.publishCycle()
 		}
 	}
 	return nil
@@ -759,6 +787,7 @@ func (s *Sim) RunUntil(pred func(*Sim) bool, max uint64) (bool, error) {
 // RunUntilContext is RunUntil with cancellation: it additionally stops,
 // returning ctx.Err(), when ctx is cancelled between cycles.
 func (s *Sim) RunUntilContext(ctx context.Context, pred func(*Sim) bool, max uint64) (bool, error) {
+	defer s.publishCycle()
 	done := ctx.Done()
 	for i := uint64(0); i < max; i++ {
 		if pred(s) {
@@ -773,6 +802,9 @@ func (s *Sim) RunUntilContext(ctx context.Context, pred func(*Sim) bool, max uin
 		}
 		if err := s.Step(); err != nil {
 			return false, fmt.Errorf("cycle %d: %w", s.cycle, err)
+		}
+		if s.cycle%publishEvery == 0 {
+			s.publishCycle()
 		}
 	}
 	return pred(s), nil

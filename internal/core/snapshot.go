@@ -27,11 +27,13 @@ import (
 // RNG determinism: each instance's rand stream is a counted source
 // (countingSource); the snapshot records how many draws each stream has
 // produced, and Restore fast-forwards a fresh identically-seeded source
-// by that count. Both Int63 and Uint64 advance the underlying generator
-// exactly one step, so the count pins the stream position exactly. (The
-// one exception is rand.Rand.Read, which buffers partial words inside
-// rand.Rand where the counter cannot see them; module code drawing
-// bytes across a snapshot boundary is outside the determinism contract.)
+// by that count; a stream with no draws is not created until its first
+// draw after the restore, exactly as in a fresh session. Both Int63 and
+// Uint64 advance the underlying generator exactly one step, so the count
+// pins the stream position exactly. (The one exception is rand.Rand.Read,
+// which buffers partial words inside rand.Rand where the counter cannot
+// see them; module code drawing bytes across a snapshot boundary is
+// outside the determinism contract.)
 
 // Stateful is implemented by module instances that support checkpoint/
 // restore. MarshalState returns the instance's mutable behavioral state
@@ -107,7 +109,9 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		snap.Scalar[i] = s.plane.scalar[c.slot]
 	}
 	for i, b := range s.bases {
-		snap.RngN[i] = b.rsrc.n
+		if b.rng != nil {
+			snap.RngN[i] = b.rng.src.n
+		}
 		st, ok := b.self.(Stateful)
 		if !ok {
 			if b.react != nil || b.start != nil || b.end != nil {
@@ -168,6 +172,7 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 		s.plane.scalar[s.conns[i].slot] = v
 	}
 	s.cycle = snap.Cycle
+	s.publishCycle()
 	s.spillHits.Store(snap.SpillHits)
 	// Between cycles the data lanes read as released; the boxed spill
 	// values themselves are not in the snapshot and are re-derived by the
@@ -177,8 +182,11 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	for i, b := range s.bases {
 		// Fast-forward the stream through the counting wrapper so the
 		// draw count advances with it.
-		for b.rsrc.n < snap.RngN[i] {
-			b.rsrc.Uint64()
+		if n := snap.RngN[i]; n > 0 {
+			src := &b.stream().src
+			for src.n < n {
+				src.Uint64()
+			}
 		}
 		data := snap.Inst[i]
 		if data == nil {
@@ -200,31 +208,65 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	return s, nil
 }
 
+// rngStream is an instance's random stream: the rand.Rand module code
+// draws from and the counting source under it, allocated together on
+// the instance's first Rand call. The source is wrapped in a draw
+// counter so Snapshot can record the stream position and Restore can
+// replay it; the counting layer draws one underlying step per call,
+// exactly like the bare source, so streams are unchanged.
+type rngStream struct {
+	r   rand.Rand
+	src countingSource
+}
+
+func newRNGStream(seed int64) *rngStream {
+	st := &rngStream{src: countingSource{seed: seed}}
+	st.r = *rand.New(&st.src)
+	return st
+}
+
 // countingSource wraps a math/rand source, counting draws so Snapshot
 // can record each instance's stream position. rand.NewSource's concrete
 // source implements Source64; both Int63 and Uint64 advance it exactly
 // one internal step, so the draw count alone pins the position.
+//
+// The source is created lazily, on the first draw: seeding a math/rand
+// generator fills a ~5 KB table, and most instances never draw (some
+// take their Rand without drawing from it), so eager seeding dominated
+// the cost of stamping a session. A lazily seeded stream is
+// bit-identical to an eagerly seeded one: the first draw sees the same
+// freshly seeded state.
 type countingSource struct {
-	src rand.Source64
-	n   uint64
+	src  rand.Source64 // nil until the first draw
+	seed int64
+	n    uint64
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+func (c *countingSource) init() {
+	c.src = rand.NewSource(c.seed).(rand.Source64)
 }
 
 func (c *countingSource) Int63() int64 {
+	if c.src == nil {
+		c.init()
+	}
 	c.n++
 	return c.src.Int63()
 }
 
 func (c *countingSource) Uint64() uint64 {
+	if c.src == nil {
+		c.init()
+	}
 	c.n++
 	return c.src.Uint64()
 }
 
+// Seed returns the stream to the unseeded state under the new seed; the
+// next draw creates the source.
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
+	c.src = nil
+	c.seed = seed
 	c.n = 0
 }
 

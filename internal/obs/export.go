@@ -145,12 +145,22 @@ type Snapshot struct {
 var sigKinds = [...]core.SigKind{core.SigData, core.SigEnable, core.SigAck}
 
 // TakeSnapshot captures the simulator's current statistics and metrics.
-// It is safe to call while the simulator is between cycles; counters are
-// read atomically, so a snapshot taken mid-cycle is merely slightly torn,
-// never corrupt.
-func TakeSnapshot(s *core.Sim) Snapshot {
+// It reads the cycle counter of the goroutine that steps s, so call it
+// from that goroutine or under the lock that serializes its steps; a
+// scraper running concurrently with the steps uses TakeLiveSnapshot.
+func TakeSnapshot(s *core.Sim) Snapshot { return takeSnapshot(s, s.Now()) }
+
+// TakeLiveSnapshot is TakeSnapshot for a scraper on a goroutine other
+// than the one stepping s, such as a live /metrics endpoint. It reports
+// the published cycle count (core.Sim.PublishedCycle), which a running
+// session refreshes every few hundred cycles, instead of reading the
+// stepping goroutine's counter; everything else it reads is atomic or
+// lock-protected.
+func TakeLiveSnapshot(s *core.Sim) Snapshot { return takeSnapshot(s, s.PublishedCycle()) }
+
+func takeSnapshot(s *core.Sim, cycles uint64) Snapshot {
 	snap := Snapshot{
-		Cycles:     s.Now(),
+		Cycles:     cycles,
 		Seed:       s.Seed(),
 		Instances:  len(s.Instances()),
 		Conns:      len(s.Conns()),

@@ -38,8 +38,8 @@ type Queue struct {
 
 	capacity int
 	selectFn SelectFn
-	typed    bool   // payload="uint64": scalar fast-lane mode
-	entries  []any  // boxed mode storage, oldest-first
+	typed    bool  // payload="uint64": scalar fast-lane mode
+	entries  []any // boxed mode storage, oldest-first
 	entriesU []uint64
 	offered  []int // entry index offered on out conn j this cycle
 	selBuf   []int // scratch for the default FIFO selection

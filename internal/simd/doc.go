@@ -36,9 +36,14 @@
 // Sessions are mutated (step, run, snapshot, restore-on-demand, delete)
 // under a per-session mutex; a second mutation arriving while one is in
 // flight answers 409 LSD003 rather than queueing, so a slow run can
-// never stack unbounded work behind it. Observation is lock-free against
-// a live session — statistics counters are atomics, exactly like the
-// retired obs.MetricsServer's live mid-sweep reads. Across sessions,
+// never stack unbounded work behind it. Observation takes the same
+// mutex and waits for an in-flight run, because a snapshot reads the
+// cycle counter the stepping goroutine owns; listing and session info
+// report the cycle count recorded by the last mutation and never wait.
+// The single-session /metrics and /debug/vars scrapes read a simulator
+// stepped outside any session lock, through its published cycle count
+// (core.Sim.PublishedCycle, refreshed every few hundred cycles of a run)
+// and its atomic statistics. Across sessions,
 // step/run work is bounded by a server-wide worker semaphore
 // (Config.StepWorkers, default 2×GOMAXPROCS). Sessions idle longer than
 // Config.ParkAfter are checkpointed to disk and their Sim closed

@@ -181,7 +181,7 @@ func publishExpvar(p *atomic.Pointer[core.Sim]) {
 			if sim == nil {
 				return nil
 			}
-			return obs.TakeSnapshot(sim)
+			return obs.TakeLiveSnapshot(sim)
 		}))
 	})
 }
@@ -378,6 +378,7 @@ func (s *Server) registerSession(entry *programEntry, sim *core.Sim, seed int64,
 		created: now,
 	}
 	ss.sim = sim
+	ss.cycle = sim.Now()
 	ss.lastUsed = now
 	s.sessions[ss.id] = ss
 	s.mu.Unlock()
@@ -545,6 +546,7 @@ func (s *Server) advance(w http.ResponseWriter, r *http.Request, defCycles uint6
 	sim := ss.live()
 	before := sim.Now()
 	err := sim.RunContext(r.Context(), req.Cycles)
+	ss.noteCycle(sim.Now())
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, StepResponse{Cycle: sim.Now(), Ran: sim.Now() - before})
@@ -570,25 +572,23 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeNotFound, "no session %q", r.PathValue("id"))
 		return
 	}
+	// Observation is serialized with the session's mutations: the
+	// snapshot reads the cycle counter the stepping goroutine owns, so an
+	// observe waits for an in-flight run to finish. A parked session is
+	// restored on demand.
+	ss.mu.Lock()
 	ss.touch(s.cfg.now())
-	sim := ss.live()
-	if sim == nil {
-		// Parked: restore on demand. TryLock cannot contend with a step —
-		// an in-flight step means the session is live.
-		if !ss.mu.TryLock() {
-			writeError(w, CodeConflict, "session %s has a mutation in flight", ss.id)
-			return
-		}
-		err := ss.ensureLive()
-		ss.mu.Unlock()
-		if err != nil {
-			writeError(w, CodeUnavailable, "session %s: %v", ss.id, err)
-			return
-		}
-		sim = ss.live()
+	err := ss.ensureLive()
+	var snap obs.Snapshot
+	if err == nil {
+		snap = obs.TakeSnapshot(ss.live())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, sim)
+	ss.mu.Unlock()
+	if err != nil {
+		writeError(w, CodeUnavailable, "session %s: %v", ss.id, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -645,6 +645,7 @@ func (s *Server) handleLocalMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeUnavailable, "no simulator attached")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteJSON(w, sim)
+	// The attached simulator is stepped by its own caller, outside any
+	// session lock: scrape it through the published cycle count.
+	writeJSON(w, http.StatusOK, obs.TakeLiveSnapshot(sim))
 }

@@ -18,9 +18,12 @@ import (
 //     park, delete. It is TryLock'd by handlers: a second mutation while
 //     one is in flight answers 409 rather than queueing behind a long
 //     run. The janitor also TryLocks, so parking never stalls traffic.
-//   - ptr guards the sim pointer, park path and lastUsed timestamp. It
-//     is held only for field access, never across a Run, which is what
-//     lets observation read a live session lock-free while it steps.
+//   - ptr guards the sim pointer, park path, cached cycle count and
+//     lastUsed timestamp. It is held only for field access, never across
+//     a Run, so listing and session info never wait behind a run. They
+//     report the cycle count as of the last mutation and never read a
+//     Sim another goroutine may be stepping; observation, which does
+//     read the Sim, takes mu.
 //
 // A parked session's Sim is closed and its full checkpoint sits on disk
 // (Sim.Snapshot gob format, the same bytes the snapshot endpoint
@@ -39,11 +42,12 @@ type session struct {
 	ptr      sync.Mutex
 	sim      *core.Sim // nil while parked or closed
 	parkPath string    // checkpoint file while parked
-	// parkedCycle caches Now() across a park so session info stays
-	// accurate without unparking.
-	parkedCycle uint64
-	lastUsed    time.Time
-	closed      bool
+	// cycle caches Now() as of the last mutation (stamp, run, restore,
+	// park), written by the holder of mu, so session info stays accurate
+	// without reading a running Sim or unparking a parked one.
+	cycle    uint64
+	lastUsed time.Time
+	closed   bool
 }
 
 // buildOpts are the per-session stamp options (the program's own
@@ -63,6 +67,14 @@ func (ss *session) live() *core.Sim {
 	return ss.sim
 }
 
+// noteCycle records the session's cycle count after a mutation. The
+// caller holds mu.
+func (ss *session) noteCycle(cycle uint64) {
+	ss.ptr.Lock()
+	ss.cycle = cycle
+	ss.ptr.Unlock()
+}
+
 func (ss *session) touch(now time.Time) {
 	ss.ptr.Lock()
 	ss.lastUsed = now
@@ -79,12 +91,10 @@ func (ss *session) info() SessionInfo {
 		State:     "live",
 		CreatedAt: ss.created,
 		LastUsed:  ss.lastUsed,
+		Cycle:     ss.cycle,
 	}
-	if ss.sim != nil {
-		si.Cycle = ss.sim.Now()
-	} else {
+	if ss.sim == nil {
 		si.State = "parked"
-		si.Cycle = ss.parkedCycle
 	}
 	return si
 }
@@ -148,7 +158,7 @@ func (ss *session) park(dir string) error {
 	ss.ptr.Lock()
 	ss.sim = nil
 	ss.parkPath = path
-	ss.parkedCycle = cycle
+	ss.cycle = cycle
 	ss.ptr.Unlock()
 	return nil
 }

@@ -828,3 +828,154 @@ func TestSnapshotErrorNotOK(t *testing.T) {
 		t.Fatalf("session resumed at cycle %d after the refused snapshot, want 15", step.Cycle)
 	}
 }
+
+// TestObserveDuringRunRace pins the scrape contract under -race (CI runs
+// this package with it). One goroutine runs a session over HTTP in
+// chunks while another observes it, reads its info and lists all
+// sessions; a second pair steps a locally attached simulator with
+// RunContext while scraping /metrics and /debug/vars. Observation must
+// serialize with the run — it reads the stepping goroutine's cycle
+// counter — and the listing and local scrapes must read only cycle
+// counts published for them. Every cycle count a reader sees must be one
+// the session really passed through, and never move backwards.
+func TestObserveDuringRunRace(t *testing.T) {
+	const (
+		chunks = 20
+		chunk  = 300
+	)
+	srv, client := newTestServer(t, Config{})
+	ctx := context.Background()
+	prog := submitTestSpec(t, client)
+	sess, err := client.NewSession(ctx, prog.ID, CreateSessionRequest{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := lss.Load(testSpec, nil, core.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	srv.SetLocal(local)
+
+	var steppers, readers sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 4) // one per goroutine; each sends at most once
+	steppers.Add(2)
+	go func() {
+		defer steppers.Done()
+		for i := 0; i < chunks; i++ {
+			if _, err := client.Run(ctx, sess.ID, chunk); err != nil {
+				errs <- fmt.Errorf("run: %w", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer steppers.Done()
+		for i := 0; i < chunks; i++ {
+			if err := local.RunContext(ctx, chunk); err != nil {
+				errs <- fmt.Errorf("local run: %w", err)
+				return
+			}
+		}
+	}()
+	// monotone checks one reader's view of a cycle count.
+	monotone := func(what string, last *uint64, got uint64) error {
+		if got < *last || got > chunks*chunk {
+			return fmt.Errorf("%s read cycle %d after %d (total %d)", what, got, *last, chunks*chunk)
+		}
+		*last = got
+		return nil
+	}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		var lastObs, lastInfo, lastList uint64
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			snap, err := client.Observe(ctx, sess.ID)
+			if err == nil {
+				err = monotone("observe", &lastObs, snap.Cycles)
+			}
+			if err == nil {
+				var info SessionInfo
+				if info, err = client.SessionInfo(ctx, sess.ID); err == nil {
+					err = monotone("session info", &lastInfo, info.Cycle)
+				}
+			}
+			if err == nil {
+				var list SessionList
+				if err = client.do(ctx, http.MethodGet, "/v1/sessions", nil, "", &list); err == nil {
+					if len(list.Sessions) != 1 {
+						err = fmt.Errorf("listing shows %d sessions, want 1", len(list.Sessions))
+					} else {
+						err = monotone("session list", &lastList, list.Sessions[0].Cycle)
+					}
+				}
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		var last uint64
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, path := range []string{"/metrics", "/debug/vars"} {
+				resp, err := client.httpClient().Get(client.Base + path)
+				if err != nil {
+					errs <- err
+					return
+				}
+				var snap struct {
+					Cycles  uint64 `json:"cycles"`
+					Liberty *struct {
+						Cycles uint64 `json:"cycles"`
+					} `json:"liberty"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&snap)
+				resp.Body.Close()
+				if err == nil && snap.Liberty != nil {
+					snap.Cycles = snap.Liberty.Cycles
+				}
+				if err == nil {
+					err = monotone("local "+path, &last, snap.Cycles)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	steppers.Wait()
+	close(done)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	snap, err := client.Observe(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := client.SessionInfo(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Cycles != chunks*chunk || info.Cycle != chunks*chunk || local.PublishedCycle() != chunks*chunk {
+		t.Fatalf("after the runs: observe %d, info %d, local published %d; want %d",
+			snap.Cycles, info.Cycle, local.PublishedCycle(), chunks*chunk)
+	}
+}

@@ -19,9 +19,10 @@ import (
 // one session of specs/mesh.lss is stepped alternately by two
 // goroutines, handed off through a mutex the way the lsd service
 // serializes requests on a session, while a scraper polls it: Metrics,
-// SpillHits and the statistics without the mutex (they are atomic or
-// lock-protected), and obs.TakeSnapshot — which also reads the cycle
-// counter, a plain field of the stepping goroutine — under it. Run
+// SpillHits, the statistics and obs.TakeLiveSnapshot without the mutex
+// (they are atomic or lock-protected, and the live snapshot reads the
+// published cycle count), and obs.TakeSnapshot — which also reads the
+// cycle counter, a plain field of the stepping goroutine — under it. Run
 // under -race (CI does), the detector proves the hand-off suffices and
 // that the lock-free reads touch only scrape-safe state. The handed-off
 // run must also hash bit-identically, cycle for cycle, to the same
@@ -116,6 +117,7 @@ func TestSingleWriterHandoffRace(t *testing.T) {
 							_ = c.Value()
 						}
 					}
+					_ = obs.TakeLiveSnapshot(sim)
 					mu.Lock()
 					_ = obs.TakeSnapshot(sim)
 					mu.Unlock()

@@ -1,10 +1,13 @@
 package liberty_test
 
 import (
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	core "liberty/internal/core"
+	"liberty/lse"
 )
 
 // TestSpecMeshSteadyAllocs guards the allocation-free step path on the
@@ -71,5 +74,46 @@ func TestSpecMeshSteadyAllocs(t *testing.T) {
 					eng.name, allocs, cycles, limit, perRun)
 			}
 		})
+	}
+}
+
+// TestSpecMeshStampMemory guards the cost of stamping a session: a
+// NewSim from the compiled specs/mesh.lss program must allocate what the
+// session's state needs — instances, ports, connections, the signal
+// plane — and no per-instance random-generator tables up front (each
+// math/rand source is ~5 KB; the streams are created on first use).
+// Eager seeding allocated ~1.9 MiB per stamp; the bound is 1 MiB,
+// measured as the TotalAlloc delta averaged over several stamps.
+func TestSpecMeshStampMemory(t *testing.T) {
+	const (
+		stamps = 8
+		limit  = 1 << 20
+	)
+	src, err := os.ReadFile("specs/mesh.lss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lse.CompileLSS(string(src), lse.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := func() {
+		sim, err := prog.NewSim()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Close()
+	}
+	stamp() // warm any lazily built program state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < stamps; i++ {
+		stamp()
+	}
+	runtime.ReadMemStats(&after)
+	perStamp := (after.TotalAlloc - before.TotalAlloc) / stamps
+	t.Logf("mesh.lss stamp allocates %d bytes (limit %d)", perStamp, limit)
+	if perStamp >= limit {
+		t.Fatalf("stamping mesh.lss allocates %d bytes per NewSim, want under %d", perStamp, limit)
 	}
 }
