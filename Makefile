@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-par bench-weave serve-smoke lint
+.PHONY: check fmt vet build test race bench bench-smoke bench-weave serve-smoke lint
 
 ## check: full gate — gofmt, vet, build, and the test suite under the
 ## race detector.
@@ -43,23 +43,11 @@ bench:
 ## benchguard compares the min of them, so one noisy sample on a shared
 ## host doesn't fail the gate.
 bench-smoke:
-	$(GO) test -bench='BenchmarkLevelized|BenchmarkA1|BenchmarkSparse|BenchmarkTyped|BenchmarkNewSimFromProgram|BenchmarkSessionStampHTTP|BenchmarkDataflow|BenchmarkPruned|BenchmarkPartitionedMesh|BenchmarkWoven|BenchmarkSpecMesh' -benchtime=200x -benchmem -count=3 -run=^$$ . | tee bench-smoke.out
+	$(GO) test -bench='BenchmarkLevelized|BenchmarkSparse|BenchmarkTyped|BenchmarkNewSimFromProgram|BenchmarkSessionStampHTTP|BenchmarkDataflow|BenchmarkPruned|BenchmarkWoven|BenchmarkSpecMesh' -benchtime=200x -benchmem -count=3 -run=^$$ . | tee bench-smoke.out
 	$(GO) run ./tools/benchguard -baseline BENCH_13.json \
 		-notslower 'BenchmarkSpecMesh/sparse<=BenchmarkSpecMesh/levelized' \
 		-notslower 'BenchmarkNewSimFromProgram/stamp<=BenchmarkNewSimFromProgram/compile' bench-smoke.out
 	@rm -f bench-smoke.out
-
-## bench-par: partitioned-scheduler scaling sweep — the busy-torus
-## benchmark across GOMAXPROCS 1,2,4,8, gated two ways: against the
-## BENCH_13.json baseline, and workers=8 must not be slower than
-## workers=1 (benchguard -notslower; executors are capped at GOMAXPROCS,
-## so on a single-CPU host the 8-worker row degrades to sequential and
-## ties rather than loses).
-bench-par:
-	$(GO) test -bench='BenchmarkPartitionedMesh' -benchtime=200x -benchmem -cpu=1,2,4,8 -count=3 -run=^$$ . | tee bench-par.out
-	$(GO) run ./tools/benchguard -baseline BENCH_13.json \
-		-notslower 'BenchmarkPartitionedMesh/workers=8<=BenchmarkPartitionedMesh/workers=1' bench-par.out
-	@rm -f bench-par.out
 
 ## bench-weave: woven-scheduler acceptance gate — the default-control
 ## pipeline and acyclic grid under interpreted levelized vs woven, gated

@@ -12,11 +12,12 @@
 //
 //	-cycles N      cycles to simulate (default 1000)
 //	-seed N        deterministic random seed (default 0)
-//	-scheduler S   auto | sequential | parallel | levelized | sparse |
-//	               partitioned | woven (default auto = sparse)
+//	-scheduler S   auto | sequential | levelized | sparse | woven
+//	               (default auto = sparse); the retired names parallel
+//	               and partitioned select sequential and levelized
 //	-schedule      dump the static schedule (SCCs, levels, break sites)
-//	-workers N     scheduler workers; >1 selects the parallel scheduler
-//	               (deprecated as a selector — use -scheduler)
+//	-workers N     accepted and ignored: a simulation is stepped by one
+//	               goroutine
 //	-trace         dump the signal trace to stderr
 //	-profile       collect scheduler metrics; print a hot-module report
 //	-stats-json    emit the statistics snapshot as JSON on stdout
@@ -50,6 +51,7 @@ import (
 	"sync"
 	"syscall"
 
+	core "liberty/internal/core"
 	"liberty/lse"
 )
 
@@ -82,9 +84,9 @@ func (d defines) Set(s string) error {
 func main() {
 	cycles := flag.Uint64("cycles", 1000, "cycles to simulate")
 	seed := flag.Int64("seed", 0, "deterministic random seed")
-	scheduler := flag.String("scheduler", "auto", "scheduling engine: auto, sequential, parallel, levelized, sparse, partitioned or woven")
+	scheduler := flag.String("scheduler", "auto", "scheduling engine: auto, sequential, levelized, sparse or woven (parallel and partitioned are aliases of sequential and levelized)")
 	schedule := flag.Bool("schedule", false, "dump the static schedule (levelized scheduler) to stderr")
-	workers := flag.Int("workers", 1, "scheduler workers (>1 = parallel scheduler; deprecated as a selector, use -scheduler)")
+	flag.Int("workers", 1, "ignored; kept so existing command lines still parse (a simulation is stepped by one goroutine)")
 	trace := flag.Bool("trace", false, "dump the signal trace to stderr")
 	dot := flag.String("dot", "", "write the netlist as a Graphviz digraph to this file")
 	vcd := flag.String("vcd", "", "write a VCD waveform of every connection to this file")
@@ -140,19 +142,11 @@ func main() {
 		}
 		opts = append(opts, lse.WithStrictAnalysis(min))
 	}
-	if *workers != 1 {
-		// Only forward an explicit worker count: WithWorkers doubles as the
-		// legacy scheduler selector and would otherwise pin -scheduler auto
-		// to the sequential engine.
-		opts = append(opts, lse.WithWorkers(*workers))
+	kind, err := core.ParseScheduler(*scheduler)
+	if err != nil {
+		fatal(err)
 	}
-	if *scheduler != "auto" {
-		kind, err := schedulerKind(*scheduler)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, lse.WithScheduler(kind))
-	}
+	opts = append(opts, lse.WithScheduler(kind))
 	if *trace {
 		opts = append(opts, lse.WithTracer(&lse.TextTracer{W: os.Stderr}))
 	}
@@ -284,26 +278,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "last %d signal events:\n", ev.Len())
 		ev.WriteText(os.Stderr)
 	}
-}
-
-func schedulerKind(name string) (lse.SchedulerKind, error) {
-	switch name {
-	case "auto":
-		return lse.SchedulerAuto, nil
-	case "sequential":
-		return lse.SchedulerSequential, nil
-	case "parallel":
-		return lse.SchedulerParallel, nil
-	case "levelized":
-		return lse.SchedulerLevelized, nil
-	case "sparse":
-		return lse.SchedulerSparse, nil
-	case "partitioned":
-		return lse.SchedulerPartitioned, nil
-	case "woven":
-		return lse.SchedulerWoven, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want auto, sequential, parallel, levelized, sparse, partitioned or woven)", name)
 }
 
 func fatal(err error) {

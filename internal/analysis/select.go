@@ -95,7 +95,6 @@ func (sel *Selection) Lint(name, src string, vars map[string]any, opts ...core.B
 		addErr(r, err)
 		return finish(r, name, src)
 	}
-	defer sim.Close()
 	for _, p := range sel.netlist {
 		p.Run(sim, r)
 	}

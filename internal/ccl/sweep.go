@@ -189,7 +189,6 @@ func (sp *SweepProgram) MeasureRate(ctx context.Context, rate float64) (SweepPoi
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	defer sim.Close()
 	for i := 0; i < sp.nodes; i++ {
 		src, _ := sim.Instance(fmt.Sprintf("src%d", i)).(*pcl.Source)
 		if src == nil {

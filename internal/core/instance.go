@@ -29,7 +29,7 @@ type Base struct {
 	start      func()
 	end        func()
 	autonomous bool       // react depends on Now()/Rand(); never activity-gated
-	scheduled  uint32     // 1 while queued; atomic access only in multi-worker sessions
+	scheduled  bool       // true while queued on the session's work queue
 	rng        *rngStream // nil until the first Rand call
 	pos        Pos        // spec position the instance was declared at, if known
 }

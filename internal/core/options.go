@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // BuildOption configures the simulator under construction. Options are
 // accepted by NewBuilder and by Build; the last option to touch a setting
 // wins, except WithTracer, which composes.
@@ -18,18 +20,13 @@ const (
 	// work queue runs reactive handlers to a fixed point, and default
 	// control re-scans the netlist dependency-aware until quiescent.
 	SchedulerSequential
-	// SchedulerParallel is the barrier-synchronized parallel fixed-point
-	// engine: each reactive round is partitioned across a persistent
-	// worker pool. Results are bit-identical to SchedulerSequential.
-	SchedulerParallel
 	// SchedulerLevelized is the static scheduling engine: at Build time
 	// the per-kind signal dependency graph is condensed into strongly
 	// connected components (Tarjan) and the component DAG is levelized.
 	// Acyclic levels resolve in one deterministic sweep with no
 	// fixed-point iteration; only genuinely cyclic components iterate,
 	// driven by a worklist seeded from dirty signals. Results are
-	// bit-identical to SchedulerSequential. With WithWorkers(n>1) given
-	// after it, reactive rounds additionally run on the worker pool.
+	// bit-identical to SchedulerSequential.
 	SchedulerLevelized
 	// SchedulerSparse is the activity-gated sparse scheduler: the
 	// levelized engine restricted, per cycle, to the build-time-computed
@@ -42,20 +39,6 @@ const (
 	// Appendix C); scheduler metrics differ, since skipped work is the
 	// point. Sim.InvalidateActivity forces a full re-resolution.
 	SchedulerSparse
-	// SchedulerPartitioned is the build-time partitioned parallel
-	// engine: the module graph is sharded into connectivity-grown
-	// regions (WithShards, default 16), the signal plane is laid out so
-	// each shard's lanes occupy distinct cache lines, and every level of
-	// the static schedule is pre-split per shard. Sessions run reactive
-	// rounds as worker-affine phases — each worker claims its own
-	// shards' queues without synchronization and steals leftovers from
-	// the others — joined at a per-round barrier instead of per-round
-	// channel dispatch. Results are bit-identical to
-	// SchedulerSequential. WithWorkers is honored exactly as given
-	// (default one), and each phase caps its live executors at
-	// GOMAXPROCS, so over-provisioned sessions degrade to sequential
-	// execution instead of regressing. See DESIGN.md Appendix H.
-	SchedulerPartitioned
 	// SchedulerWoven is the AOT-woven engine: at compile time the
 	// levelized schedule is fused into specialized step kernels.
 	// Connections whose endpoints bear no cycle-start or reactive
@@ -69,10 +52,8 @@ const (
 	// results *and* scheduler default/break counts are bit-identical to
 	// SchedulerSequential (under the handler-locality and
 	// control-function-purity contracts, DESIGN.md Appendix I).
-	// WithWorkers is honored exactly as given and parallelizes the
-	// fallback's reactive rounds. Composes with WithDataflowPrune: dead
-	// connections never get a kernel. Sim.InvalidateActivity forces a
-	// full interpreted sweep.
+	// Composes with WithDataflowPrune: dead connections never get a
+	// kernel. Sim.InvalidateActivity forces a full interpreted sweep.
 	SchedulerWoven
 )
 
@@ -82,18 +63,48 @@ func (k SchedulerKind) String() string {
 		return "auto"
 	case SchedulerSequential:
 		return "sequential"
-	case SchedulerParallel:
-		return "parallel"
 	case SchedulerLevelized:
 		return "levelized"
 	case SchedulerSparse:
 		return "sparse"
-	case SchedulerPartitioned:
-		return "partitioned"
 	case SchedulerWoven:
 		return "woven"
 	}
 	return "invalid"
+}
+
+// Resolve pins a scheduler selection down to the concrete engine Build
+// runs: SchedulerAuto becomes SchedulerSparse, every other kind is
+// itself.
+func (k SchedulerKind) Resolve() SchedulerKind {
+	if k == SchedulerAuto {
+		return SchedulerSparse
+	}
+	return k
+}
+
+// ParseScheduler converts a scheduler name — as the lsc -scheduler flag
+// and the /v1 wire spell it — into its kind. The empty name is "auto".
+// Two retired engine names stay accepted as aliases: "parallel" selects
+// SchedulerSequential (the same dynamic fixed point, which the
+// multi-worker engine only distributed) and "partitioned" selects
+// SchedulerLevelized (the same levelized schedule, which the sharded
+// engine only split). Both reach bit-identical results and exact
+// default/break counts.
+func ParseScheduler(name string) (SchedulerKind, error) {
+	switch name {
+	case "", "auto":
+		return SchedulerAuto, nil
+	case "sequential", "parallel":
+		return SchedulerSequential, nil
+	case "levelized", "partitioned":
+		return SchedulerLevelized, nil
+	case "sparse":
+		return SchedulerSparse, nil
+	case "woven":
+		return SchedulerWoven, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q (want auto, sequential, parallel, levelized, sparse, partitioned or woven)", name)
 }
 
 // WithScheduler selects the scheduling engine. All schedulers produce
@@ -101,65 +112,6 @@ func (k SchedulerKind) String() string {
 // only in host-time cost and in the scheduler metrics they report.
 func WithScheduler(k SchedulerKind) BuildOption {
 	return func(b *Builder) { b.sched = k }
-}
-
-// WithWorkers selects the number of scheduler workers (values below one
-// are clamped to one). It is a pure count knob: the engine is chosen by
-// WithScheduler alone, and SchedulerSequential always resolves to one
-// worker. Under SchedulerParallel a count below two resolves to
-// GOMAXPROCS.
-func WithWorkers(n int) BuildOption {
-	return func(b *Builder) {
-		if n < 1 {
-			n = 1
-		}
-		b.workers = n
-	}
-}
-
-// WithShards sets the compile-time shard count for the partitioned
-// scheduler (SchedulerPartitioned); values below one select the default
-// (16), values above 1024 are clamped. Shards are a property of the
-// compiled Program — every session stamped from it inherits the same
-// partition and plane layout — while the worker count remains a session
-// property: workers own the shard sets {w, w+k, ...} and steal across
-// them, so any worker count runs correctly against any shard count.
-// More shards than instances are clamped to one shard per instance.
-// Ignored by every other scheduler.
-func WithShards(n int) BuildOption {
-	return func(b *Builder) {
-		if n < 1 {
-			n = 0 // default
-		}
-		if n > 1024 {
-			n = 1024
-		}
-		b.shards = n
-	}
-}
-
-// defaultParallelThreshold is the per-worker round size below which the
-// parallel scheduler drains inline (default threshold = 128 × workers).
-// Dispatching a round costs one goroutine wakeup per worker — tens of
-// microseconds of scheduling latency the caller must absorb even when a
-// woken worker claims no work — so splitting only pays once each worker's
-// share of the batch outweighs its own wakeup (BENCH_2's workers=2
-// regression: barrier latency exceeded the work on rounds of 2-4 cheap
-// handlers).
-const defaultParallelThreshold = 128
-
-// WithParallelThreshold sets the minimum reactive-round size the
-// parallel scheduler dispatches to the worker pool; smaller rounds drain
-// inline on the calling goroutine, where dispatch latency would
-// otherwise dominate. n <= 1 sends every round to the pool. The default
-// is 128 × the worker count.
-func WithParallelThreshold(n int) BuildOption {
-	return func(b *Builder) {
-		if n <= 1 {
-			n = 1
-		}
-		b.parMin = n
-	}
 }
 
 // WithSeed sets the simulator's deterministic random seed.

@@ -112,10 +112,10 @@ func TestDirectBuildProgramMintsNoSessions(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent: Close releases the worker pool once and tolerates
-// repeated calls.
+// TestCloseIdempotent: Close is a no-op — repeated calls are harmless and
+// the session keeps stepping.
 func TestCloseIdempotent(t *testing.T) {
-	b := NewBuilder(WithScheduler(SchedulerParallel), WithWorkers(2))
+	b := NewBuilder()
 	if err := progTestAssemble(b); err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,9 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.pool == nil {
-		t.Fatal("parallel build created no worker pool")
-	}
 	sim.Close()
-	if sim.pool != nil {
-		t.Fatal("Close did not release the worker pool")
+	sim.Close()
+	if err := sim.Run(3); err != nil {
+		t.Fatalf("Run after Close: %v", err)
 	}
-	sim.Close() // must be a no-op, not a panic
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -47,11 +48,53 @@ func runNetlistStatuses(t *testing.T, seed int64, cycles uint64, opts ...core.Bu
 	return out, rec.cycles
 }
 
+// buildRandomNetlistOpts assembles a pseudo-random layered netlist of
+// sources, gates, registers and sinks, deterministically from seed, under
+// the given build options, and returns the sinks so results can be
+// compared across scheduler configurations.
+func buildRandomNetlistOpts(t *testing.T, seed int64, opts ...core.BuildOption) (*core.Sim, []*sink) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b := core.NewBuilder(append(append([]core.BuildOption(nil), opts...), core.WithSeed(seed))...)
+
+	nChains := 2 + rng.Intn(4)
+	var sinks []*sink
+	for c := 0; c < nChains; c++ {
+		src := newSource(fmt.Sprintf("src%d", c))
+		b.Add(src)
+		var prev core.Instance = src
+		prevPort := "out"
+		depth := 1 + rng.Intn(5)
+		for d := 0; d < depth; d++ {
+			var stage core.Instance
+			if rng.Intn(2) == 0 {
+				stage = newGate(fmt.Sprintf("g%d_%d", c, d))
+			} else {
+				stage = newRegister(fmt.Sprintf("r%d_%d", c, d))
+			}
+			b.Add(stage)
+			b.Connect(prev, prevPort, stage, "in")
+			prev, prevPort = stage, "out"
+		}
+		mod := uint64(1 + rng.Intn(3))
+		snk := newSink(fmt.Sprintf("snk%d", c), func(cycle uint64, i int) bool {
+			return cycle%mod != 1
+		})
+		b.Add(snk)
+		b.Connect(prev, prevPort, snk, "in")
+		sinks = append(sinks, snk)
+	}
+	sim, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return sim, sinks
+}
+
 // TestLevelizedMatchesSequential is the static scheduling engine's
-// correctness property: the levelized scheduler — alone, with a worker
-// pool, and against the parallel fixed point — must produce per-cycle
-// signal statuses bit-identical to the sequential scanner on arbitrary
-// netlists.
+// correctness property: the levelized scheduler and the Auto default must
+// produce per-cycle signal statuses bit-identical to the sequential
+// scanner on arbitrary netlists.
 func TestLevelizedMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		seqOut, seqFP := runNetlistStatuses(t, seed, 50, core.WithScheduler(core.SchedulerSequential))
@@ -60,9 +103,7 @@ func TestLevelizedMatchesSequential(t *testing.T) {
 			opts []core.BuildOption
 		}{
 			{"levelized", []core.BuildOption{core.WithScheduler(core.SchedulerLevelized)}},
-			{"levelized-pooled", []core.BuildOption{core.WithWorkers(4), core.WithScheduler(core.SchedulerLevelized)}},
 			{"auto", nil},
-			{"parallel", []core.BuildOption{core.WithScheduler(core.SchedulerParallel), core.WithWorkers(4)}},
 		} {
 			out, fp := runNetlistStatuses(t, seed, 50, tc.opts...)
 			if !reflect.DeepEqual(seqOut, out) {
@@ -78,6 +119,16 @@ func TestLevelizedMatchesSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSequentialRunsAreReproducible re-runs the same netlist twice and
+// demands identical results, the foundation for regression experiments.
+func TestSequentialRunsAreReproducible(t *testing.T) {
+	a, _ := runNetlistStatuses(t, 12345, 100, core.WithScheduler(core.SchedulerSequential))
+	b, _ := runNetlistStatuses(t, 12345, 100, core.WithScheduler(core.SchedulerSequential))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("identical seeds produced different results")
 	}
 }
 
@@ -146,7 +197,7 @@ func TestScheduleInfoCyclic(t *testing.T) {
 	}
 }
 
-// TestScheduleNilForLegacySchedulers: only the levelized engine carries a
+// TestScheduleNilForLegacySchedulers: the sequential engine carries no
 // static schedule.
 func TestScheduleNilForLegacySchedulers(t *testing.T) {
 	seq := buildFanout(t, core.WithScheduler(core.SchedulerSequential))
@@ -155,13 +206,6 @@ func TestScheduleNilForLegacySchedulers(t *testing.T) {
 	}
 	if seq.Scheduler() != core.SchedulerSequential || seq.Workers() != 1 {
 		t.Errorf("sequential resolved to %v/%d workers", seq.Scheduler(), seq.Workers())
-	}
-	par := buildFanout(t, core.WithScheduler(core.SchedulerParallel), core.WithWorkers(4))
-	if par.Schedule() != nil {
-		t.Error("parallel scheduler reports a static schedule")
-	}
-	if par.Scheduler() != core.SchedulerParallel || par.Workers() != 4 {
-		t.Errorf("WithWorkers(4) resolved to %v/%d workers, want parallel/4", par.Scheduler(), par.Workers())
 	}
 }
 

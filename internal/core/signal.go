@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // sigPlane is the dense signal state of a netlist: one status lane per
 // signal kind plus a data-value lane, each indexed by connection id. The
@@ -27,12 +24,10 @@ import (
 // at commit.
 //
 // Status cells are plain uint32s with a single-writer contract
-// (DESIGN.md Appendix C): a one-worker session reads and writes them with
-// ordinary loads and stores from its one stepping goroutine, while a
-// multi-worker session, whose pool workers race on raise, goes through
-// explicit sync/atomic loads and compare-and-swaps. The data lanes are
-// written only by the single instance that drives the connection's data
-// signal, ordered by the status store.
+// (DESIGN.md Appendix C): the session's one stepping goroutine reads and
+// writes them with ordinary loads and stores. The data lanes are written
+// only by the single instance that drives the connection's data signal,
+// before its status store.
 type sigPlane struct {
 	lanes  [3][]uint32 // indexed by SigKind, then conn id
 	data   []any       // spill lane: valid where the data lane holds Yes
@@ -62,8 +57,8 @@ type idRun [2]int32
 
 // idRuns splits an ascending id list into its maximal contiguous runs —
 // the shape the replaying engines (sparse and woven) reset a steady
-// cycle's dirty region in. Sound only where slot == id, which holds for
-// every program without a shard partition.
+// cycle's dirty region in. The plane is indexed by conn id, so id runs
+// are plane runs.
 func idRuns(ids []int32) []idRun {
 	var runs []idRun
 	for i := 0; i < len(ids); {
@@ -109,13 +104,6 @@ type Conn struct {
 	dstIdx int   // index of this connection on dst
 	scalar bool  // data values live in the uint64 fast lane (set at Build)
 
-	// slot is the connection's physical index into the signal-plane
-	// lanes. Identical to id except under the partitioned scheduler,
-	// whose compiled plane layout groups each shard's cells into padded,
-	// cache-line-disjoint regions (see buildPartition). All logical
-	// artifacts — schedules, snapshots, hashes — stay keyed by id.
-	slot int32
-
 	sim *Sim
 	pos Pos // spec position of the connect statement, if known
 }
@@ -155,9 +143,9 @@ func (c *Conn) Data() (any, bool) {
 		return nil, false
 	}
 	if c.scalar {
-		return c.sim.plane.scalar[c.slot], true
+		return c.sim.plane.scalar[c.id], true
 	}
-	return c.sim.plane.data[c.slot], true
+	return c.sim.plane.data[c.id], true
 }
 
 // dataValue returns the data-lane value without a handshake check,
@@ -169,9 +157,9 @@ func (c *Conn) dataValue() any {
 		if c.status(SigData) != Yes {
 			return nil
 		}
-		return c.sim.plane.scalar[c.slot]
+		return c.sim.plane.scalar[c.id]
 	}
-	return c.sim.plane.data[c.slot]
+	return c.sim.plane.data[c.id]
 }
 
 // dataUint64 returns the scalar value without boxing. On a spill-lane
@@ -179,9 +167,9 @@ func (c *Conn) dataValue() any {
 // slow) when a connection fell back to the spill lane.
 func (c *Conn) dataUint64() uint64 {
 	if c.scalar {
-		return c.sim.plane.scalar[c.slot]
+		return c.sim.plane.scalar[c.id]
 	}
-	v := c.sim.plane.data[c.slot]
+	v := c.sim.plane.data[c.id]
 	if v == nil {
 		return 0
 	}
@@ -198,11 +186,7 @@ func (c *Conn) String() string {
 }
 
 func (c *Conn) status(k SigKind) Status {
-	cell := &c.sim.plane.lanes[k][c.slot]
-	if c.sim.workers == 1 {
-		return Status(*cell)
-	}
-	return Status(atomic.LoadUint32(cell))
+	return Status(c.sim.plane.lanes[k][c.id])
 }
 
 // checkWrite validates that driving a signal is legal right now — the
@@ -252,10 +236,10 @@ func (c *Conn) raiseData(v any) bool {
 				fmt.Sprintf("scalar-lane connection carries uint64 payloads, got %T "+
 					"(send a uint64, or declare PayloadAny on the sink to keep the boxed lane)", v))
 		}
-		pl.scalar[c.slot] = u
+		pl.scalar[c.id] = u
 		return c.resolve(SigData, Yes)
 	}
-	pl.data[c.slot] = v
+	pl.data[c.id] = v
 	if c.resolve(SigData, Yes) {
 		c.sim.spillHits.Add(1)
 		return true
@@ -271,10 +255,10 @@ func (c *Conn) raiseUint64(v uint64) bool {
 	c.checkWrite()
 	pl := &c.sim.plane
 	if c.scalar {
-		pl.scalar[c.slot] = v
+		pl.scalar[c.id] = v
 		return c.resolve(SigData, Yes)
 	}
-	pl.data[c.slot] = v
+	pl.data[c.id] = v
 	if c.resolve(SigData, Yes) {
 		c.sim.spillHits.Add(1)
 		return true
@@ -283,29 +267,20 @@ func (c *Conn) raiseUint64(v uint64) bool {
 }
 
 // resolve performs the status transition for signal k: the data/scalar
-// lane store (done by the caller) must precede this call. A one-worker
-// session has exactly one goroutine that ever touches the plane, so the
-// transition is a plain load and store. A multi-worker session's release
-// CAS publishes the value to the pool workers, whose acquire load in
-// status() orders their reads.
+// lane store (done by the caller) must precede this call. The session has
+// exactly one goroutine that ever touches the plane, so the transition is
+// a plain load and store.
 func (c *Conn) resolve(k SigKind, s Status) bool {
 	sim := c.sim
-	cell := &sim.plane.lanes[k][c.slot]
-	if sim.workers == 1 {
-		if prev := Status(*cell); prev != Unknown {
-			if prev != s {
-				c.badReraise(k, prev, s)
-			}
-			return false
-		}
-		*cell = uint32(s)
-		sim.resolved[k]++
-	} else if !atomic.CompareAndSwapUint32(cell, uint32(Unknown), uint32(s)) {
-		if prev := Status(atomic.LoadUint32(cell)); prev != s {
+	cell := &sim.plane.lanes[k][c.id]
+	if prev := Status(*cell); prev != Unknown {
+		if prev != s {
 			c.badReraise(k, prev, s)
 		}
 		return false
 	}
+	*cell = uint32(s)
+	sim.resolved[k]++
 	sim.onResolve(c, k, s)
 	sim.noteResolve(c, k)
 	// Wake the endpoint that observes this signal.

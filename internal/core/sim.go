@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -23,11 +20,16 @@ const (
 // time advances one cycle per Step; within a cycle, module reactive
 // handlers run to a monotonic fixed point, default control resolves the
 // remaining signals, and state commits.
+//
+// A session is single-writer: one goroutine at a time steps it, and that
+// goroutine is the only one that reads or writes its signal plane,
+// scheduled flags and scratch (DESIGN.md Appendix C). Plain loads and
+// stores are therefore enough on the step path; the only atomics are
+// the counters other goroutines read while it runs (spillHits,
+// published, and Metrics).
 type Sim struct {
 	seed      int64
-	sched     SchedulerKind // resolved: Sequential, Parallel, Levelized, Sparse, Partitioned or Woven
-	workers   int
-	parMin    int // parallel rounds below this size drain inline
+	sched     SchedulerKind // resolved: Sequential, Levelized, Sparse or Woven
 	tracer    Tracer
 	prog      *Program // the compiled structure this session executes
 	instances []Instance
@@ -41,13 +43,6 @@ type Sim struct {
 	sparse    *progSparse   // shared: nil unless the sparse scheduler is selected
 	weave     *progWeave    // shared: nil unless the woven scheduler is selected
 	pruned    []bool        // shared: instance id -> handlers never run (WithDataflowPrune); nil otherwise
-	pool      *workerPool
-	part      *progPartition // shared: nil unless the partitioned scheduler is selected
-	ppool     *partPool      // partitioned phase pool; nil unless partitioned with workers > 1
-
-	// stealCount counts rounds entries this session's workers claimed
-	// from shards they do not own (see ScheduleInfo.StealCount).
-	stealCount atomic.Uint64
 
 	// needFull requests a full sweep from the next Step (cycle 0, after
 	// InvalidateActivity, a Step error or a Restore) under the engines
@@ -88,20 +83,17 @@ type Sim struct {
 	// path carries no locked instruction.
 	published atomic.Uint64
 
-	// resolved counts this cycle's resolutions per signal kind. It is
-	// maintained only on the single-worker resolve path (a plain
-	// increment; parallel workers would contend on it), so consumers may
-	// rely on it only as a lower bound: resolved[k] == len(conns) proves
-	// kind k is fully resolved and the default sweep for it can be
-	// skipped; a smaller count proves nothing. Reset each Step.
+	// resolved counts this cycle's resolutions per signal kind: every
+	// resolve() call that performed one, plus the woven engine's bulk
+	// replay accounting. Replayed cells of the sparse gated region are not
+	// counted, so consumers may rely on it only as a lower bound:
+	// resolved[k] == len(conns) proves kind k is fully resolved and the
+	// default sweep for it can be skipped; a smaller count proves
+	// nothing. Reset each Step.
 	resolved [3]int
 
-	queue  []*Base // sequential work queue (FIFO by wake order)
-	qhead  int
-	par    bool // inside a parallel drain round
-	wakeMu sync.Mutex
-	wakes  []*Base // wakes collected during a parallel round
-	batch  []*Base // reused parallel round buffer
+	queue []*Base // work queue (FIFO by wake order)
+	qhead int
 
 	// Residue-worklist plumbing (levelized scheduler): while a residue
 	// run is active, raise() reports each kind-matching resolution here.
@@ -110,25 +102,11 @@ type Sim struct {
 	resolvedBuf []*Conn
 }
 
-// Close releases the simulator's worker pool, if any, and is idempotent:
-// repeated calls are no-ops. A finalizer releases pooled workers when the
-// simulator is garbage collected; Close makes the release deterministic,
-// which matters when many short-lived sessions are stamped from one
-// Program (a sweep that relies on the finalizer leaks worker goroutines
-// until the collector catches up). The simulator must not be stepped
-// after Close.
-func (s *Sim) Close() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-		runtime.SetFinalizer(s, nil)
-	}
-	if s.ppool != nil {
-		s.ppool.close()
-		s.ppool = nil
-		runtime.SetFinalizer(s, nil)
-	}
-}
+// Close is a no-op, kept for callers written when sessions could own a
+// worker pool. A simulator holds no goroutines or other resources beyond
+// memory, so there is nothing to release; calling Close any number of
+// times is harmless.
+func (s *Sim) Close() {}
 
 // Program returns the compiled program this session executes. Every Sim
 // has one; only programs built with Compile (or lse.CompileLSS) carry an
@@ -196,109 +174,40 @@ func (s *Sim) setPhase(p phase) {
 
 // wake schedules an instance's reactive handler. b is never nil: every
 // caller passes a built instance's Base (connection endpoints and the
-// instance list are fixed at Build). A one-worker session owns the
-// scheduled flag outright, so its already-scheduled early-out is a plain
-// load that inlines into resolve's hot path — the common case on busy
-// netlists, where every resolution wakes an endpoint. A multi-worker
-// session's pool workers race on the flag, so its wakes always take the
-// compare-and-swap in wakeSlow.
+// instance list are fixed at Build). The already-scheduled early-out is a
+// plain load that inlines into resolve's hot path — the common case on
+// busy netlists, where every resolution wakes an endpoint.
 func (s *Sim) wake(b *Base) {
-	if s.workers == 1 && (b.react == nil || b.scheduled != 0) {
+	if b.react == nil || b.scheduled {
 		return
 	}
-	s.wakeSlow(b)
+	s.enqueue(b)
 }
 
-func (s *Sim) wakeSlow(b *Base) {
-	if s.workers == 1 {
-		b.scheduled = 1
-	} else if b.react == nil || atomic.LoadUint32(&b.scheduled) != 0 ||
-		!atomic.CompareAndSwapUint32(&b.scheduled, 0, 1) {
-		return
-	}
+func (s *Sim) enqueue(b *Base) {
+	b.scheduled = true
 	if m := s.metrics; m != nil {
 		m.wakes.Add(1)
-	}
-	if s.par {
-		if s.ppool != nil {
-			// Partitioned phase: the wake lands on the woken instance's
-			// shard queue — usually owned by the waking worker itself, so
-			// the per-shard mutex is uncontended, unlike the global
-			// wake mutex below.
-			s.ppool.ph.wake(b, s.part.instShard[b.id])
-			return
-		}
-		s.wakeMu.Lock()
-		s.wakes = append(s.wakes, b)
-		s.wakeMu.Unlock()
-		return
 	}
 	s.queue = append(s.queue, b)
 }
 
-// unschedule clears b's scheduled flag on the stepping goroutine: a plain
-// store in a one-worker session, an atomic one when pool workers may
-// read the flag concurrently.
-func (s *Sim) unschedule(b *Base) {
-	if s.workers == 1 {
-		b.scheduled = 0
-		return
-	}
-	atomic.StoreUint32(&b.scheduled, 0)
-}
-
+// drain runs the reactive fixed point: woken handlers run in wake order
+// until the work queue is empty.
 func (s *Sim) drain() {
-	if s.workers > 1 && len(s.queue)-s.qhead >= s.parMin {
-		if s.ppool != nil {
-			s.drainPartitioned()
-		} else {
-			s.drainParallel()
-		}
-		return
-	}
-	// Sequential worklist — also the parallel engine's small-round path:
-	// rounds below the parallel threshold cost more in barrier latency
-	// and wake-mutex traffic than the work is worth (BENCH_2: workers=2
-	// ran 2.1x slower than workers=1 on handshake-bound rounds of 2-4
-	// instances), so they run inline on the calling goroutine and only
-	// escalate to pooled rounds if the worklist grows past the threshold.
 	ran := s.qhead < len(s.queue)
-	size := len(s.queue) - s.qhead
 	for s.qhead < len(s.queue) {
-		if s.workers > 1 && len(s.queue)-s.qhead >= s.parMin {
-			if m := s.metrics; m != nil {
-				// Account the inline prefix as one round.
-				m.rounds.Add(1)
-				m.roundSize.Observe(float64(size))
-				if s.schedule == nil {
-					m.iters.Add(1)
-				}
-			}
-			if s.ppool != nil {
-				s.drainPartitioned()
-			} else {
-				s.drainParallel()
-			}
-			return
-		}
 		b := s.queue[s.qhead]
 		s.qhead++
-		s.unschedule(b)
+		b.scheduled = false
 		s.runReact(b)
 	}
 	s.queue = s.queue[:0]
 	s.qhead = 0
-	if m := s.metrics; m != nil && ran {
-		if s.workers > 1 {
-			m.rounds.Add(1)
-			m.roundSize.Observe(float64(size))
-		}
-		// Under the levelized scheduler, fixed-point iterations are
-		// counted by the residue worklist instead (zero on acyclic
-		// netlists).
-		if s.schedule == nil {
-			m.iters.Add(1)
-		}
+	// Under the levelized scheduler, fixed-point iterations are counted
+	// by the residue worklist instead (zero on acyclic netlists).
+	if m := s.metrics; m != nil && ran && s.schedule == nil {
+		m.iters.Add(1)
 	}
 }
 
@@ -320,88 +229,6 @@ func (s *Sim) runReact(b *Base) {
 	b.react()
 	im.nanos.Add(time.Since(t0).Nanoseconds())
 	im.sampled.Add(1)
-}
-
-// drainParallel runs the reactive fixed point in barrier-synchronized
-// rounds on the persistent worker pool. Within a round the ready set is
-// claimed by the workers; signal resolution is atomic and
-// single-assignment, and each signal has a unique driving instance, so
-// rounds race only on wake bookkeeping. Monotonic confluence makes the
-// result identical to sequential execution.
-func (s *Sim) drainParallel() {
-	// Move any sequentially-queued wakes (from cycle-start) into the
-	// round set.
-	batch := append(s.batch[:0], s.queue[s.qhead:]...)
-	s.queue = s.queue[:0]
-	s.qhead = 0
-	s.wakes = s.wakes[:0]
-	s.par = true
-	defer func() {
-		s.par = false
-		s.batch = batch[:0]
-	}()
-	for len(batch) > 0 {
-		batch = sortWakes(batch)
-		if m := s.metrics; m != nil {
-			m.rounds.Add(1)
-			if s.schedule == nil {
-				m.iters.Add(1)
-			}
-			m.roundSize.Observe(float64(len(batch)))
-		}
-		if len(batch) < s.parMin {
-			// Small rounds cost more in barrier latency and wake-mutex
-			// traffic than the work is worth (BENCH_2: workers=2 ran 2.1x
-			// slower than workers=1 on handshake-bound rounds of 2-4
-			// instances). Drain the round as a sequential worklist on the
-			// calling goroutine: with s.par off, wakes append straight to
-			// the queue, mutex-free, and run in the same pass. Monotonic
-			// confluence keeps the result identical; if the worklist grows
-			// back past the threshold the remainder returns to pooled
-			// rounds.
-			s.par = false
-			s.queue = append(s.queue[:0], batch...)
-			s.qhead = 0
-			for s.qhead < len(s.queue) && len(s.queue)-s.qhead < s.parMin {
-				b := s.queue[s.qhead]
-				s.qhead++
-				atomic.StoreUint32(&b.scheduled, 0)
-				s.runReact(b)
-			}
-			batch = append(batch[:0], s.queue[s.qhead:]...)
-			s.queue = s.queue[:0]
-			s.qhead = 0
-			s.par = true
-			continue
-		}
-		s.pool.run(s, batch)
-		batch = append(batch[:0], s.wakes...)
-		s.wakes = s.wakes[:0]
-	}
-}
-
-// sortWakes puts a round batch into deterministic id order and drops
-// duplicates. Cycle-start broadcasts arrive already ordered, so the
-// common case is a single linear scan with no sort.
-func sortWakes(batch []*Base) []*Base {
-	sorted := true
-	for i := 1; i < len(batch); i++ {
-		if batch[i].id <= batch[i-1].id {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return batch
-	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
-	out := batch[:1]
-	for _, b := range batch[1:] {
-		if b != out[len(out)-1] {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // applyDefaults resolves still-Unknown signals using default control
@@ -432,11 +259,7 @@ func (s *Sim) applyDefaults(full bool) {
 		}
 	}
 	if s.schedule != nil {
-		if s.part != nil {
-			s.applyDefaultsPartitioned()
-		} else {
-			s.applyDefaultsLevelized()
-		}
+		s.applyDefaultsLevelized()
 		return
 	}
 	s.defaultRound(SigData)
@@ -591,19 +414,13 @@ func (s *Sim) Step() (err error) {
 			}
 			s.setPhase(phaseIdle)
 			// The cycle aborted mid-drain: clear the scheduled flags of
-			// anything still queued (the sequential worklist tail and
-			// wakes collected during an aborted parallel round), or those
-			// instances would be skipped by every future wake.
+			// the worklist tail, or those instances would be skipped by
+			// every future wake.
 			for _, b := range s.queue[s.qhead:] {
-				s.unschedule(b)
+				b.scheduled = false
 			}
 			s.queue = s.queue[:0]
 			s.qhead = 0
-			for _, b := range s.wakes {
-				s.unschedule(b)
-			}
-			s.wakes = s.wakes[:0]
-			s.par = false
 			if s.sparse != nil || s.weave != nil {
 				// The cycle aborted mid-resolution; the plane holds a
 				// partial state no replay may build on.
@@ -688,7 +505,7 @@ func (s *Sim) Step() (err error) {
 	switch {
 	case full:
 		// The resolution counters prove full resolution without a scan
-		// when every signal resolved through the single-worker path.
+		// in the common case.
 		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
 			s.verifyResolved(s.conns)
 		}
@@ -702,7 +519,7 @@ func (s *Sim) Step() (err error) {
 	default:
 		// Woven steady cycle: the replayed region is resolved by
 		// construction; the counters (bulk replay accounting plus
-		// single-worker fallback resolutions) prove the rest without a
+		// interpreted fallback resolutions) prove the rest without a
 		// scan in the common case.
 		if s.resolved[SigData]+s.resolved[SigEnable]+s.resolved[SigAck] != 3*len(s.conns) {
 			s.verifyResolvedIDs(wv.dirty)

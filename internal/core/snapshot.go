@@ -93,21 +93,11 @@ func (s *Sim) Snapshot(w io.Writer) error {
 		RngN:        make([]uint64, len(s.bases)),
 		Inst:        make([][]byte, len(s.bases)),
 	}
-	// The lanes serialize by conn id, read through each connection's
-	// physical plane slot (slot == id except under the partitioned
-	// layout, whose padded plane is longer than the conn list), so
-	// snapshots stay portable across plane layouts.
+	// The lanes serialize by conn id, which is also the plane index.
 	for k := range snap.Status {
-		lane := make([]uint32, len(s.conns))
-		for i, c := range s.conns {
-			lane[i] = s.plane.lanes[k][c.slot]
-		}
-		snap.Status[k] = lane
+		snap.Status[k] = append([]uint32(nil), s.plane.lanes[k]...)
 	}
-	snap.Scalar = make([]uint64, len(s.conns))
-	for i, c := range s.conns {
-		snap.Scalar[i] = s.plane.scalar[c.slot]
-	}
+	snap.Scalar = append([]uint64(nil), s.plane.scalar...)
 	for i, b := range s.bases {
 		if b.rng != nil {
 			snap.RngN[i] = b.rng.src.n
@@ -136,7 +126,7 @@ func (s *Sim) Snapshot(w io.Writer) error {
 // Restore stamps a fresh session from the program and replays the
 // checkpoint read from r into it: cycle counter, signal lanes, instance
 // state, RNG stream positions and statistics. Session options (tracers,
-// metrics, worker counts) apply to the new session; the seed always
+// metrics) apply to the new session; the seed always
 // comes from the snapshot, since the RNG streams derive from it. The
 // snapshot must have been taken from a program with the same structural
 // fingerprint. The restored session's next Step runs a full sweep, so
@@ -160,17 +150,12 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 	}
 	if len(snap.Status[0]) != len(s.conns) || len(snap.RngN) != len(s.bases) ||
 		len(snap.Inst) != len(s.bases) || len(snap.Scalar) != len(s.conns) {
-		s.Close()
 		return nil, fmt.Errorf("restore: snapshot shape does not match the program's netlist")
 	}
 	for k := range snap.Status {
-		for i, v := range snap.Status[k] {
-			s.plane.lanes[k][s.conns[i].slot] = v
-		}
+		copy(s.plane.lanes[k], snap.Status[k])
 	}
-	for i, v := range snap.Scalar {
-		s.plane.scalar[s.conns[i].slot] = v
-	}
+	copy(s.plane.scalar, snap.Scalar)
 	s.cycle = snap.Cycle
 	s.publishCycle()
 	s.spillHits.Store(snap.SpillHits)
@@ -194,11 +179,9 @@ func (p *Program) Restore(r io.Reader, opts ...BuildOption) (*Sim, error) {
 		}
 		st, ok := b.self.(Stateful)
 		if !ok {
-			s.Close()
 			return nil, fmt.Errorf("restore: snapshot carries state for %s, which does not implement core.Stateful", b.name)
 		}
 		if err := st.UnmarshalState(data); err != nil {
-			s.Close()
 			return nil, fmt.Errorf("restore: unmarshal %s: %w", b.name, err)
 		}
 	}

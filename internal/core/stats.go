@@ -61,8 +61,7 @@ func histBounds(i int) (lo, hi float64) {
 // and fixed-bucket percentile estimates (quantiles are interpolated
 // within power-of-two buckets, so they carry bucket-width error but need
 // no per-sample storage). Like Counter, it is safe for concurrent use, so
-// reactive handlers running under the parallel scheduler may Observe
-// without coordination.
+// a live scrape may read it while the stepping goroutine observes.
 type Histogram struct {
 	mu       sync.Mutex
 	count    int64

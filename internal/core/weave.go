@@ -28,7 +28,7 @@ package core
 //     the compiler must not constant-fold (control functions may close
 //     over per-connection state). Each such connection compiles to one
 //     fused closure resolving data, enable and ack in rule order with
-//     raw plane stores at a compile-time slot — no per-conn kind switch,
+//     raw plane stores at a compile-time index — no per-conn kind switch,
 //     no eligibility scan, no wake probes (the endpoints are provably
 //     reaction-free). Kernels are grouped per forward sweep level and
 //     run in (level, id) order.
@@ -56,13 +56,9 @@ package core
 //
 // The woven plan is compiled into the immutable Program and shared
 // read-only by every session (NewSim stamps it by pointer, so the lsd
-// service's cached programs serve woven sessions for free). Woven
-// programs carry no shard partition, so a connection's plane slot equals
-// its id; kernels nevertheless index through the compile-time slot, so
-// they compose with any slot-indirected layout a future partition
-// assigns.
-
-import "sync/atomic"
+// service's cached programs serve woven sessions for free). The signal
+// plane is indexed by connection id, so kernels capture the id as their
+// plane index.
 
 // WeaveClass classifies one connection under the woven scheduler's
 // compile-time kernel specialization (see Sim.WeaveClasses).
@@ -113,7 +109,7 @@ func (wc WeaveClass) String() string {
 }
 
 // wovenKernel is one specialized step closure. Kernels are compiled into
-// the Program and capture only compile-time structure (slots, control
+// the Program and capture only compile-time structure (ids, control
 // functions, default statuses, connection ids); all session state is
 // reached through the *Sim argument, which keeps one compiled kernel
 // array correct for every concurrently stamped session.
@@ -129,8 +125,7 @@ type progWeave struct {
 	dirty     []int32 // fallback conns, ascending id
 	dirtyRuns []idRun // maximal contiguous id runs of dirty (idRuns) —
 	// each run resets as one memclr per status lane instead of three
-	// scattered stores per connection. Sound because woven programs have
-	// no shard partition: slot == id, so id runs are plane runs.
+	// scattered stores per connection.
 	spill []int32 // fallback conns on the boxed data lane — the only
 	// data cells a cycle's commit releases; scalar-lane cells pin nothing
 	// and stay unobservable until the next data-Yes store (signal.go).
@@ -272,11 +267,10 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 
 // makeControlKernel specializes one handler-free, control-bearing
 // connection into a fused closure resolving data, enable and ack in rule
-// order. Everything that is constant at compile time — the plane slot,
+// order. Everything that is constant at compile time — the plane index,
 // the control functions, the static default statuses — is captured; the
 // per-cycle body is at most two control calls plus three raw lane
-// stores (plain in a one-worker session, atomic when pool workers may
-// read the cells). Raw stores are sound because the endpoints are
+// stores. Raw stores are sound because the endpoints are
 // provably reaction-free: no module code can have resolved (or can
 // observe) these cells mid-cycle, so the single-assignment contract the
 // interpreted resolve() enforces dynamically holds here by construction.
@@ -285,11 +279,6 @@ func buildWeave(instances []Instance, conns []*Conn, sc *progSchedule, pr *progP
 // defaulter would pass.
 func makeControlKernel(c *Conn) wovenKernel {
 	id := c.id
-	// Woven programs carry no shard partition, so the session bind maps
-	// slot i to conn i (builder.go); the id IS the compile-time slot.
-	// (Session slots are not yet assigned when the program compiles, so
-	// c.slot cannot be captured here.)
-	slot := int32(c.id)
 	srcFn := c.src.opts.Control
 	dstFn := c.dst.opts.Control
 	defEnable := c.src.opts.DefaultEnable
@@ -316,14 +305,9 @@ func makeControlKernel(c *Conn) wovenKernel {
 			ack = No // firm-accept fails: the data signal is No
 		}
 		pl := &s.plane
-		data, enable, ackCell := &pl.lanes[SigData][slot], &pl.lanes[SigEnable][slot], &pl.lanes[SigAck][slot]
-		if s.workers == 1 {
-			*data, *enable, *ackCell = uint32(No), uint32(en), uint32(ack)
-		} else {
-			atomic.StoreUint32(data, uint32(No))
-			atomic.StoreUint32(enable, uint32(en))
-			atomic.StoreUint32(ackCell, uint32(ack))
-		}
+		pl.lanes[SigData][id] = uint32(No)
+		pl.lanes[SigEnable][id] = uint32(en)
+		pl.lanes[SigAck][id] = uint32(ack)
 		if t := s.tracer; t != nil {
 			kc := s.conns[id]
 			t.OnResolve(kc, SigData, No)
@@ -337,7 +321,7 @@ func makeControlKernel(c *Conn) wovenKernel {
 // by connection id: the compiled plan when the simulator runs the woven
 // scheduler, a freshly computed one (for diagnostics such as LSE014)
 // when it runs any other statically scheduled engine, and nil when no
-// static schedule exists (sequential and parallel engines).
+// static schedule exists (the sequential engine).
 func (s *Sim) WeaveClasses() []WeaveClass {
 	if s.weave != nil {
 		return s.weave.class

@@ -63,9 +63,11 @@ func newRegistry(capacity int, now func() time.Time) *registry {
 
 // programKey hashes a submission into its cache identity: spec text,
 // defines (sorted, with their dynamic types — 1 and "1" are different
-// programs) and the canonical build options. The label name is excluded:
-// it only positions error messages.
-func programKey(req *SubmitProgramRequest) string {
+// programs) and the canonical build options — the resolved engine, so
+// every spelling of one engine ("", "auto" and "sparse"; "parallel" and
+// "sequential") shares one program, and the strict threshold. The label
+// name and the ignored worker count are excluded.
+func programKey(req *SubmitProgramRequest, sched core.SchedulerKind) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "spec:%d:%s;", len(req.Spec), req.Spec)
 	names := make([]string, 0, len(req.Defines))
@@ -76,7 +78,7 @@ func programKey(req *SubmitProgramRequest) string {
 	for _, n := range names {
 		fmt.Fprintf(h, "def:%s=%T:%v;", n, req.Defines[n], req.Defines[n])
 	}
-	fmt.Fprintf(h, "opt:%s/%d/%s;", req.Options.Scheduler, req.Options.Workers, req.Options.Strict)
+	fmt.Fprintf(h, "opt:%s/%s;", sched, req.Options.Strict)
 	return fmt.Sprintf("p%016x", h.Sum64())
 }
 
@@ -84,7 +86,12 @@ func programKey(req *SubmitProgramRequest) string {
 // compiling and inserting it on a miss. The returned bool reports a
 // cache hit. Compile errors surface as *APIError.
 func (r *registry) lookupOrCompile(req *SubmitProgramRequest) (*programEntry, bool, error) {
-	key := programKey(req)
+	sched, err := req.Options.engine()
+	if err != nil {
+		return nil, false, &APIError{Code: CodeBadRequest, Status: CodeBadRequest.status(),
+			Message: err.Error()}
+	}
+	key := programKey(req, sched)
 	r.mu.Lock()
 	if e, ok := r.entries[key]; ok {
 		e.lastUsed = r.now()
@@ -93,7 +100,7 @@ func (r *registry) lookupOrCompile(req *SubmitProgramRequest) (*programEntry, bo
 	}
 	r.mu.Unlock()
 
-	opts, err := req.Options.buildOptions()
+	opts, err := req.Options.buildOptions(sched)
 	if err != nil {
 		return nil, false, &APIError{Code: CodeBadRequest, Status: CodeBadRequest.status(),
 			Message: err.Error()}

@@ -207,7 +207,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	}
 }
 
-// Close stops the janitor and releases every session (worker pools,
+// Close stops the janitor and releases every session (simulators,
 // checkpoint files). The HTTP surface must already be quiesced (see
 // ListenAndServe); Close is idempotent.
 func (s *Server) Close() {

@@ -154,7 +154,6 @@ func (ss *session) park(dir string) error {
 		return err
 	}
 	cycle := sim.Now()
-	sim.Close()
 	ss.ptr.Lock()
 	ss.sim = nil
 	ss.parkPath = path
@@ -167,14 +166,11 @@ func (ss *session) park(dir string) error {
 // (or owns the session exclusively during server shutdown).
 func (ss *session) close() {
 	ss.ptr.Lock()
-	sim, path := ss.sim, ss.parkPath
+	path := ss.parkPath
 	ss.sim = nil
 	ss.parkPath = ""
 	ss.closed = true
 	ss.ptr.Unlock()
-	if sim != nil {
-		sim.Close()
-	}
 	if path != "" {
 		os.Remove(path)
 	}

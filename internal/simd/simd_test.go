@@ -320,6 +320,67 @@ func TestWovenSchedulerOverWire(t *testing.T) {
 	}
 }
 
+// TestProgramKeyCanonical pins the cache key to the engine a submission
+// resolves to: every spelling of one engine, with or without the ignored
+// worker count, must dedupe onto one compiled *core.Program.
+func TestProgramKeyCanonical(t *testing.T) {
+	ctx := context.Background()
+	srv, client := newTestServer(t, Config{})
+	progOf := func(opts BuildOptions) *core.Program {
+		t.Helper()
+		info, err := client.SubmitProgram(ctx, SubmitProgramRequest{Spec: testSpec, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := srv.progs.get(info.ID)
+		if !ok {
+			t.Fatalf("program %s not in registry", info.ID)
+		}
+		return e.prog
+	}
+	for _, group := range [][]BuildOptions{
+		{{}, {Scheduler: "auto"}, {Scheduler: "sparse"}, {Workers: 0}, {Workers: 1}, {Scheduler: "sparse", Workers: 8}},
+		{{Scheduler: "sequential"}, {Scheduler: "parallel"}, {Scheduler: "parallel", Workers: 4}},
+		{{Scheduler: "levelized"}, {Scheduler: "partitioned", Workers: 2}},
+	} {
+		want := progOf(group[0])
+		for _, opts := range group[1:] {
+			if got := progOf(opts); got != want {
+				t.Errorf("%+v compiled a separate program from %+v", opts, group[0])
+			}
+		}
+	}
+	if progOf(BuildOptions{Scheduler: "sequential"}) == progOf(BuildOptions{}) {
+		t.Error("distinct engines share one program")
+	}
+}
+
+// TestRetiredSchedulerNamesOverWire: the retired engine names, with a
+// worker count, are accepted (no LSD001) and report the engine they
+// alias; sessions stamp and step on them.
+func TestRetiredSchedulerNamesOverWire(t *testing.T) {
+	ctx := context.Background()
+	_, client := newTestServer(t, Config{})
+	for name, want := range map[string]string{"parallel": "sequential", "partitioned": "levelized"} {
+		info, err := client.SubmitProgram(ctx, SubmitProgramRequest{
+			Spec: testSpec, Options: BuildOptions{Scheduler: name, Workers: 4},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if info.Scheduler != want {
+			t.Fatalf("%s: program scheduler = %q, want %q", name, info.Scheduler, want)
+		}
+		ss, err := client.NewSession(ctx, info.ID, CreateSessionRequest{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := client.Run(ctx, ss.ID, 20); err != nil || st.Cycle != 20 {
+			t.Fatalf("%s: session run landed at %+v (err %v)", name, st, err)
+		}
+	}
+}
+
 // TestSnapshotRestoreBitIdentical is the service's checkpoint oracle:
 // a session snapshotted over HTTP at cycle 60 and restored — locally and
 // into a fresh server session — must continue bit-identically (scheddiff

@@ -20,32 +20,32 @@ import (
 // different options compiles into a distinct cached program.
 type BuildOptions struct {
 	// Scheduler selects the engine: "auto" (default), "sequential",
-	// "parallel", "levelized", "sparse", "partitioned" or "woven".
-	// Sessions always run the engine their program was compiled for.
+	// "levelized", "sparse" or "woven"; the retired names "parallel" and
+	// "partitioned" are aliases of "sequential" and "levelized" (see
+	// core.ParseScheduler). Sessions always run the engine their program
+	// was compiled for.
 	Scheduler string `json:"scheduler,omitempty"`
-	// Workers is the scheduler worker count (parallel and partitioned
-	// engines).
+	// Workers is accepted and ignored: every session is stepped by one
+	// goroutine. It stays in the wire vocabulary so existing requests
+	// still decode.
 	Workers int `json:"workers,omitempty"`
 	// Strict, when set to "info", "warning" or "error", fails compilation
 	// when static analysis finds diagnostics at or above that severity.
 	Strict string `json:"strict,omitempty"`
 }
 
-// buildOptions converts the wire options into core build options.
-// Unknown names are CodeBadRequest material, reported before any
-// compilation work happens.
-func (o BuildOptions) buildOptions() ([]core.BuildOption, error) {
-	var opts []core.BuildOption
-	if o.Scheduler != "" {
-		kind, err := ParseScheduler(o.Scheduler)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, core.WithScheduler(kind))
-	}
-	if o.Workers > 1 {
-		opts = append(opts, core.WithWorkers(o.Workers))
-	}
+// engine returns the concrete engine the options select, Auto already
+// resolved. An unknown name is CodeBadRequest material.
+func (o BuildOptions) engine() (core.SchedulerKind, error) {
+	kind, err := core.ParseScheduler(o.Scheduler)
+	return kind.Resolve(), err
+}
+
+// buildOptions converts the wire options into core build options for
+// the engine they select. Unknown names are CodeBadRequest material,
+// reported before any compilation work happens.
+func (o BuildOptions) buildOptions(kind core.SchedulerKind) ([]core.BuildOption, error) {
+	opts := []core.BuildOption{core.WithScheduler(kind)}
 	if o.Strict != "" {
 		min, err := analysis.ParseSeverity(o.Strict)
 		if err != nil {
@@ -54,29 +54,6 @@ func (o BuildOptions) buildOptions() ([]core.BuildOption, error) {
 		opts = append(opts, analysis.StrictOption(min))
 	}
 	return opts, nil
-}
-
-// ParseScheduler converts a scheduler name from the wire ("auto",
-// "sequential", "parallel", "levelized", "sparse", "partitioned",
-// "woven") into its kind.
-func ParseScheduler(name string) (core.SchedulerKind, error) {
-	switch name {
-	case "", "auto":
-		return core.SchedulerAuto, nil
-	case "sequential":
-		return core.SchedulerSequential, nil
-	case "parallel":
-		return core.SchedulerParallel, nil
-	case "levelized":
-		return core.SchedulerLevelized, nil
-	case "sparse":
-		return core.SchedulerSparse, nil
-	case "partitioned":
-		return core.SchedulerPartitioned, nil
-	case "woven":
-		return core.SchedulerWoven, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want auto, sequential, parallel, levelized, sparse, partitioned or woven)", name)
 }
 
 // SubmitProgramRequest is the POST /v1/programs body: one LSS

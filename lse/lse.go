@@ -29,11 +29,12 @@
 // regions resolve in one deterministic sweep with no fixed-point
 // iteration — plus a build-time activity partition that resolves regions
 // unreachable from any cycle-start (or autonomous) instance exactly once
-// and replays their values thereafter. SchedulerSequential and
-// SchedulerParallel are the classic dynamic fixed-point engines;
-// SchedulerWoven fuses the levelized schedule into specialized
-// compile-time step kernels for handler-free regions. Every scheduler
-// produces bit-identical per-cycle signal assignments and statistics:
+// and replays their values thereafter. SchedulerSequential is the
+// classic dynamic fixed-point engine and the executable reference every
+// other engine is checked against; SchedulerWoven fuses the levelized
+// schedule into specialized compile-time step kernels for handler-free
+// regions. Every scheduler produces bit-identical per-cycle signal
+// assignments and statistics:
 //
 //	sim, _ := b.Build(lse.WithScheduler(lse.SchedulerLevelized))
 //	lse.WriteScheduleReport(os.Stderr, sim) // SCCs, levels, break sites
@@ -44,6 +45,13 @@
 // the sparse engine never gates them; modules with cycle-start handlers
 // need no marking. Sim.InvalidateActivity forces one full re-sweep after
 // out-of-band state mutation.
+//
+// A session is single-writer: one goroutine steps it at a time, and
+// parallelism comes from running many sessions at once (see Program vs
+// Sim below). The retired multi-worker engines survive only as names:
+// SchedulerParallel is SchedulerSequential, SchedulerPartitioned is
+// SchedulerLevelized, and WithWorkers, WithShards and
+// WithParallelThreshold are accepted and ignored.
 //
 // # Quickstart (LSS)
 //
@@ -60,9 +68,9 @@
 // # Observability
 //
 // Building with WithMetrics (or a WithObserver bundle) turns on scheduler
-// metrics: reactive wakes, fixed-point iterations, parallel rounds and
-// batch sizes, default-control fallbacks per signal kind, and a sampled
-// per-instance react-time profile. The obs exporters turn a simulator
+// metrics: reactive wakes, fixed-point iterations, default-control
+// fallbacks per signal kind, and a sampled per-instance react-time
+// profile. The obs exporters turn a simulator
 // into machine-readable artifacts:
 //
 //	ev := lse.NewEventTracer(256).FilterInstances("router*")
@@ -90,7 +98,6 @@
 //	for i := 0; i < 1000; i++ {
 //	    go func(seed int64) {
 //	        sim, _ := prog.NewSim(lse.WithSeed(seed))
-//	        defer sim.Close()
 //	        sim.Run(10_000)
 //	    }(int64(i))
 //	}
@@ -120,16 +127,16 @@
 // # Supported surface
 //
 // This package is the single supported API: the Builder with functional
-// options (NewBuilder/Build with WithSeed, WithScheduler, WithWorkers,
-// WithTracer, WithRegistry, WithMetrics, WithParallelThreshold,
-// WithObserver, WithStrictAnalysis), the Program/Sim split (Compile,
+// options (NewBuilder/Build with WithSeed, WithScheduler, WithTracer,
+// WithRegistry, WithMetrics, WithDataflowPrune, WithObserver,
+// WithStrictAnalysis), the Program/Sim split (Compile,
 // CompileLSS*, Program.NewSim, Sim.Snapshot, Program.Restore), the LSS
 // entry points (LoadLSS, LoadLSSWith, LoadLSSFile, ParseLSS), the
 // analysis pipeline (Lint, Analyze) and the observability exporters
 // below. The PR-1-era Builder setter chain (SetSeed, SetWorkers,
 // SetTracer, SetRegistry), the nil-builder BuildLSS entry point and
-// WithWorkers-as-scheduler-selector have been removed: WithWorkers is a
-// pure worker-count knob and only WithScheduler picks the engine.
+// WithWorkers-as-scheduler-selector have been removed; only
+// WithScheduler picks the engine.
 //
 // The component libraries (pcl, upl, ccl, mpl, nilib) register their
 // templates into DefaultRegistry from their init functions; importing
@@ -364,8 +371,12 @@ const (
 	SchedulerAuto = core.SchedulerAuto
 	// SchedulerSequential is the demand-driven sequential fixed point.
 	SchedulerSequential = core.SchedulerSequential
-	// SchedulerParallel partitions reactive rounds across a worker pool.
-	SchedulerParallel = core.SchedulerParallel
+	// SchedulerParallel is an alias of SchedulerSequential. The
+	// multi-worker engine it named was retired: on every shipped spec two
+	// workers ran slower than one.
+	//
+	// Deprecated: use SchedulerSequential.
+	SchedulerParallel = core.SchedulerSequential
 	// SchedulerLevelized is the static scheduling engine: SCC-condensed,
 	// levelized sweeps with a worklist for genuinely cyclic residues.
 	SchedulerLevelized = core.SchedulerLevelized
@@ -373,12 +384,11 @@ const (
 	// gating: regions unreachable from any cycle-start (or autonomous)
 	// instance are resolved once and replayed, not re-resolved per cycle.
 	SchedulerSparse = core.SchedulerSparse
-	// SchedulerPartitioned is the build-time partitioned parallel
-	// engine: the module graph is sharded into connectivity-grown
-	// regions (WithShards) with a cache-line-disjoint signal-plane
-	// layout, and workers run their own shards' work, stealing leftovers
-	// across shards at per-round barriers.
-	SchedulerPartitioned = core.SchedulerPartitioned
+	// SchedulerPartitioned is an alias of SchedulerLevelized, whose
+	// schedule the retired sharded engine split across workers.
+	//
+	// Deprecated: use SchedulerLevelized.
+	SchedulerPartitioned = core.SchedulerLevelized
 	// SchedulerWoven is the AOT-woven engine: the levelized schedule is
 	// fused at compile time into specialized step kernels — handler-free
 	// acyclic connections resolve as replayed compile-time constants (or
@@ -418,31 +428,41 @@ var (
 	// WithSeed sets the deterministic random seed.
 	WithSeed = core.WithSeed
 	// WithScheduler selects the scheduling engine (see SchedulerAuto,
-	// SchedulerSequential, SchedulerParallel, SchedulerLevelized,
-	// SchedulerSparse, SchedulerPartitioned, SchedulerWoven).
+	// SchedulerSequential, SchedulerLevelized, SchedulerSparse,
+	// SchedulerWoven).
 	WithScheduler = core.WithScheduler
-	// WithWorkers selects the scheduler worker count (a pure count knob;
-	// the engine is chosen by WithScheduler alone).
-	WithWorkers = core.WithWorkers
-	// WithShards sets the partitioned scheduler's compile-time shard
-	// count (default 16). A Program property: every session stamped from
-	// the program inherits the partition; workers remain per session.
-	WithShards = core.WithShards
 	// WithTracer attaches a tracer; repeated options compose.
 	WithTracer = core.WithTracer
 	// WithRegistry selects the template registry (NewBuilder only).
 	WithRegistry = core.WithRegistry
 	// WithMetrics enables scheduler metrics collection.
 	WithMetrics = core.WithMetrics
-	// WithParallelThreshold sets the minimum reactive-round size the
-	// parallel scheduler dispatches to its worker pool; smaller rounds
-	// run inline, avoiding barrier latency that exceeds the work.
-	WithParallelThreshold = core.WithParallelThreshold
 	// WithDataflowPrune deletes provably-dead connections and instances
 	// (per the whole-program dataflow analysis) from the compiled
 	// schedule and activity partition. Requires the sparse scheduler.
 	WithDataflowPrune = core.WithDataflowPrune
 )
+
+// WithWorkers is accepted and ignored: every session is stepped by one
+// goroutine.
+//
+// Deprecated: sessions are single-writer; run more sessions for
+// parallelism.
+func WithWorkers(int) BuildOption { return noOption }
+
+// WithShards is accepted and ignored: the sharded engine it configured
+// was retired.
+//
+// Deprecated: sessions are single-writer.
+func WithShards(int) BuildOption { return noOption }
+
+// WithParallelThreshold is accepted and ignored: the worker pool it
+// configured was retired.
+//
+// Deprecated: sessions are single-writer.
+func WithParallelThreshold(int) BuildOption { return noOption }
+
+func noOption(*Builder) {}
 
 // WithObserver applies an observability bundle — scheduler metrics and/or
 // structured event capture — to the simulator under construction.

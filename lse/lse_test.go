@@ -102,8 +102,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestProgramSurface drives the Program/Sim split through the facade:
 // LoadLSS binds each Sim to a Program, CompileLSS stamps equivalent Sims
-// from one shared Program, and WithWorkers is a pure count knob that no
-// longer selects the scheduling engine.
+// from one shared Program, and the retired worker and engine options
+// resolve to single-writer sessions on their alias engines.
 func TestProgramSurface(t *testing.T) {
 	spec := `
 		instance src : pcl.source(count = 5);
@@ -140,21 +140,38 @@ func TestProgramSurface(t *testing.T) {
 		t.Fatalf("loaded=%d stamped=%d, want 5 and 5", a, z)
 	}
 
-	// WithWorkers no longer selects the engine: the default stays Auto's
-	// choice (the sparse scheduler) even with a worker count above one.
+	// WithWorkers is accepted and ignored: the default stays Auto's
+	// choice (the sparse scheduler) and the session is single-writer.
 	knob, err := lse.LoadLSS(spec, lse.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := knob.Scheduler(); got != lse.SchedulerSparse {
-		t.Fatalf("WithWorkers(2) alone resolved scheduler %v, want sparse (engine is chosen by WithScheduler)", got)
+	if got, w := knob.Scheduler(), knob.Workers(); got != lse.SchedulerSparse || w != 1 {
+		t.Fatalf("WithWorkers(2) alone resolved scheduler %v with %d workers, want sparse with 1", got, w)
 	}
-	par, err := lse.LoadLSS(spec, lse.WithScheduler(lse.SchedulerParallel), lse.WithWorkers(2))
+	// The retired parallel engine's name resolves to the sequential
+	// engine, and a worker count changes nothing: same engine, same run.
+	seq, err := lse.LoadLSS(spec, lse.WithScheduler(lse.SchedulerSequential), lse.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, w := par.Scheduler(), par.Workers(); got != lse.SchedulerParallel || w != 2 {
-		t.Fatalf("scheduler %v workers %d, want parallel with 2", got, w)
+	par, err := lse.LoadLSS(spec, lse.WithScheduler(lse.SchedulerParallel), lse.WithWorkers(2), lse.WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := par.Scheduler(), par.Workers(); got != lse.SchedulerSequential || w != 1 {
+		t.Fatalf("SchedulerParallel+WithWorkers(2) resolved scheduler %v with %d workers, want sequential with 1", got, w)
+	}
+	for _, s := range []*lse.Sim{seq, par} {
+		if err := s.Run(30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sw, pw strings.Builder
+	seq.Stats().Dump(&sw)
+	par.Stats().Dump(&pw)
+	if sw.String() != pw.String() {
+		t.Fatalf("WithWorkers(2) changed the run:\n%s\nvs\n%s", pw.String(), sw.String())
 	}
 }
 

@@ -49,33 +49,19 @@ var schedulerMatrix = []struct {
 }{
 	{"sequential", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSequential)}},
 	{"levelized", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerLevelized)}},
-	{"parallel", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel), lse.WithWorkers(4)}},
-	// Small-round inline fallback: every reactive round runs on the
-	// waking goroutine, the pool only provides mutual exclusion.
-	{"parallel-inline", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel),
-		lse.WithWorkers(2), lse.WithParallelThreshold(1 << 20)}},
 	{"sparse", false, []lse.BuildOption{lse.WithScheduler(lse.SchedulerSparse)}},
-	// The partitioned engine must hold exact counts at every worker
-	// count: per-level barriers and the handler-free wavefront keep the
-	// default and break metrics equal to the sequential sweep's.
-	{"partitioned-w1", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned)}},
-	{"partitioned-w2", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-		lse.WithWorkers(2)}},
-	{"partitioned-w4", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-		lse.WithWorkers(4)}},
-	// workers=8 over 4 shards with a hair-trigger parallel threshold:
-	// maximal phase-pool traffic, executors outnumber shards, stealing on.
-	{"partitioned-w8", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
-		lse.WithWorkers(8), lse.WithShards(4), lse.WithParallelThreshold(1)}},
 	// The woven engine replays its compiled region but — unlike sparse —
 	// accounts the replay, so it must hold exact default/break counts on
 	// every shape: all-fallback (handler chains, the mesh residue),
 	// all-const (passThrough fabrics) and everything between.
 	{"woven", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven)}},
-	// Extra workers only parallelize the interpreted fallback's reactive
-	// rounds; a hair-trigger threshold maximizes pool traffic there.
-	{"woven-w4", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerWoven),
+	// The retired engine names, as existing callers spell them: each
+	// alias must land on its engine with exact counts, and the ignored
+	// worker options must change nothing.
+	{"parallel", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerParallel),
 		lse.WithWorkers(4), lse.WithParallelThreshold(1)}},
+	{"partitioned", true, []lse.BuildOption{lse.WithScheduler(lse.SchedulerPartitioned),
+		lse.WithWorkers(4), lse.WithShards(4)}},
 }
 
 type schedRun struct {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSingleWriterHandoffRace pins the single-writer contract of the
-// step path (DESIGN.md Appendix C). A one-worker session touches its
+// step path (DESIGN.md Appendix C). A session touches its
 // signal plane and scheduled flags with plain loads and stores, which is
 // sound only because exactly one goroutine steps it at a time and every
 // hand-off between goroutines goes through a happens-before edge. Here
@@ -26,8 +26,8 @@ import (
 // under -race (CI does), the detector proves the hand-off suffices and
 // that the lock-free reads touch only scrape-safe state. The handed-off
 // run must also hash bit-identically, cycle for cycle, to the same
-// session stepped on one goroutine, and a one-worker session's scheduler counts
-// must match too.
+// session stepped on one goroutine, and its scheduler counts must match
+// too.
 func TestSingleWriterHandoffRace(t *testing.T) {
 	const (
 		total = 210
@@ -38,22 +38,18 @@ func TestSingleWriterHandoffRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eng := range []struct {
-		name    string
-		kind    core.SchedulerKind
-		workers int
+		name string
+		kind core.SchedulerKind
 	}{
-		{"sequential", core.SchedulerSequential, 1},
-		{"levelized", core.SchedulerLevelized, 1},
-		{"sparse", core.SchedulerSparse, 1},
-		{"woven", core.SchedulerWoven, 1},
-		// A multi-worker session keeps the atomic path; hand-offs must
-		// compose with its pool too.
-		{"parallel-w2", core.SchedulerParallel, 2},
+		{"sequential", core.SchedulerSequential},
+		{"levelized", core.SchedulerLevelized},
+		{"sparse", core.SchedulerSparse},
+		{"woven", core.SchedulerWoven},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
 			load := func(h *cycleHasher) *core.Sim {
 				sim, err := lse.LoadLSS(string(src), lse.WithSeed(3), lse.WithMetrics(),
-					lse.WithScheduler(eng.kind), lse.WithWorkers(eng.workers), lse.WithTracer(h))
+					lse.WithScheduler(eng.kind), lse.WithTracer(h))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,9 +148,6 @@ func TestSingleWriterHandoffRace(t *testing.T) {
 				if h.hashes[c] != refH.hashes[c] {
 					t.Fatalf("handed-off run diverges from the one-goroutine run at cycle %d", c)
 				}
-			}
-			if eng.workers > 1 {
-				return // pooled rounds make wake counts timing-dependent
 			}
 			got, want := sim.Metrics(), ref.Metrics()
 			if got.Wakes() != want.Wakes() || got.Reacts() != want.Reacts() ||

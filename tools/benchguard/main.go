@@ -31,11 +31,11 @@
 // Beyond the baseline, -notslower 'A<=B' (repeatable) gates one row of
 // the run against another row of the same run: A's ns/op must not
 // exceed B's by the -notslower-threshold factor (default 1.10 — wide
-// enough for scheduling noise on a single-CPU host, where a parallel
-// engine can only tie, tight enough to catch a real slowdown). This is
-// the partitioned scheduler's scaling gate: workers=8 must never lose
-// to workers=1, on any host. A missing row is a warning, not a failure,
-// so the gate tolerates smoke patterns that skip the pair.
+// enough for scheduling noise on a shared host, tight enough to catch a
+// real slowdown). The Makefile uses it for engine-vs-engine gates such
+// as "the sparse default must not lose to levelized on mesh.lss". A
+// named pair whose row is missing from the run fails the gate: a renamed
+// benchmark or a typo in the pattern must not silently disable it.
 package main
 
 import (
@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -85,20 +86,33 @@ type sample struct {
 }
 
 func main() {
-	basePath := flag.String("baseline", "BENCH_5.json", "baseline JSON file (BENCH_*.json layout)")
-	threshold := flag.Float64("threshold", 1.25, "fail when a metric exceeds baseline by this factor")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchguard:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, reads the bench output (the
+// positional file, or stdin), writes its report to out and returns an
+// error when any gate fails.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("benchguard", flag.ContinueOnError)
+	basePath := fs.String("baseline", "BENCH_5.json", "baseline JSON file (BENCH_*.json layout)")
+	threshold := fs.Float64("threshold", 1.25, "fail when a metric exceeds baseline by this factor")
 	var notSlower notSlowerFlag
-	flag.Var(&notSlower, "notslower", "gate 'A<=B': row A's ns/op must not exceed row B's (repeatable)")
-	nsThreshold := flag.Float64("notslower-threshold", 1.10, "slack factor for -notslower comparisons")
-	flag.Parse()
+	fs.Var(&notSlower, "notslower", "gate 'A<=B': row A's ns/op must not exceed row B's (repeatable)")
+	nsThreshold := fs.Float64("notslower-threshold", 1.10, "slack factor for -notslower comparisons")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	raw, err := os.ReadFile(*basePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var base baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", *basePath, err))
+		return fmt.Errorf("parsing %s: %w", *basePath, err)
 	}
 	wantNs := map[string]float64{}
 	wantAllocs := map[string]float64{}
@@ -109,11 +123,11 @@ func main() {
 		}
 	}
 
-	in := os.Stdin
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
+	var in io.Reader = os.Stdin
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
@@ -150,7 +164,7 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	failed := 0
@@ -158,7 +172,7 @@ func main() {
 		got := best[name]
 		refNs, ok := wantNs[name]
 		if !ok {
-			fmt.Printf("benchguard: %-50s %12.0f ns/op  (no baseline)\n", name, got.ns)
+			fmt.Fprintf(out, "benchguard: %-50s %12.0f ns/op  (no baseline)\n", name, got.ns)
 			continue
 		}
 		ratio := got.ns / refNs
@@ -179,19 +193,20 @@ func main() {
 				failed++
 			}
 		}
-		fmt.Printf("benchguard: %-50s %12.0f ns/op  %6.2fx baseline%s  %s\n",
+		fmt.Fprintf(out, "benchguard: %-50s %12.0f ns/op  %6.2fx baseline%s  %s\n",
 			name, got.ns, ratio, allocNote, status)
 	}
 	for name := range wantNs {
 		if _, ok := best[name]; !ok {
-			fmt.Printf("benchguard: %-50s not in this run\n", name)
+			fmt.Fprintf(out, "benchguard: %-50s not in this run\n", name)
 		}
 	}
 	for _, pair := range notSlower {
 		a, okA := best[pair[0]]
 		b, okB := best[pair[1]]
 		if !okA || !okB {
-			fmt.Printf("benchguard: notslower %s<=%s: row(s) missing from this run, skipped\n", pair[0], pair[1])
+			fmt.Fprintf(out, "benchguard: notslower %s<=%s: row(s) missing from this run  MISSING\n", pair[0], pair[1])
+			failed++
 			continue
 		}
 		ratio := a.ns / b.ns
@@ -200,16 +215,11 @@ func main() {
 			status = "SLOWER"
 			failed++
 		}
-		fmt.Printf("benchguard: notslower %s (%.0f ns/op) vs %s (%.0f ns/op): %.2fx  %s\n",
+		fmt.Fprintf(out, "benchguard: notslower %s (%.0f ns/op) vs %s (%.0f ns/op): %.2fx  %s\n",
 			pair[0], a.ns, pair[1], b.ns, ratio, status)
 	}
 	if failed > 0 {
-		fatal(fmt.Errorf("%d benchmark metric(s) regressed beyond threshold over %s",
-			failed, *basePath))
+		return fmt.Errorf("%d benchmark gate(s) failed over %s", failed, *basePath)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchguard:", err)
-	os.Exit(1)
+	return nil
 }
